@@ -18,32 +18,13 @@ from itertools import product as _iproduct
 
 import numpy as np
 
+from .arith import invariant_factors, prime_factors, sieve_primes, valuation
 from .errors import CapExceeded, EmptyRange, NotClosed, TamePrime, WildPrime
-from .permgroup import prime_factors, valuation
 
 DEFAULT_ORDER_CAP = 64
 RECORD_MODE_CAP = 10 ** 6
 
 Element = tuple[int, ...]
-
-
-def _invariant_factors(cyclic_orders) -> tuple[int, ...]:
-    """Canonical divisibility chain d1 | d2 | ... for a product of cyclic groups."""
-    exponents: dict[int, list[int]] = {}
-    for m in cyclic_orders:
-        for p in prime_factors(m):
-            exponents.setdefault(p, []).append(valuation(m, p))
-    for p in exponents:
-        exponents[p].sort(reverse=True)
-    width = max((len(v) for v in exponents.values()), default=0)
-    factors = []
-    for i in range(width):
-        d = 1
-        for p, exps in exponents.items():
-            if i < len(exps):
-                d *= p ** exps[i]
-        factors.append(d)
-    return tuple(sorted(factors))
 
 
 @dataclass(frozen=True)
@@ -60,7 +41,7 @@ class AbelianGroupSpec:
         orders = list(cyclic_orders)
         if not orders or any(d < 2 for d in orders):
             raise ValueError(f"cyclic orders must be >= 2, got {cyclic_orders!r}")
-        factors = _invariant_factors(orders)
+        factors = invariant_factors(orders)
         if math.prod(factors) > order_cap:
             raise CapExceeded(f"group order {math.prod(factors)} exceeds cap {order_cap}")
         object.__setattr__(self, "invariant_factors", factors)
@@ -257,23 +238,14 @@ def _hit(group: AbelianGroupSpec, g: Element, omega, semantics: str) -> bool:
     return bool(group.cyclic_subgroup(g) & omega)
 
 
-def _sieve_primes(limit: int) -> np.ndarray:
-    if limit <= 2:
-        return np.zeros(0, dtype=np.int64)
-    flags = np.ones(limit, dtype=bool)
-    flags[:2] = False
-    for p in range(2, int(limit ** 0.5) + 1):
-        if flags[p]:
-            flags[p * p::p] = False
-    return np.flatnonzero(flags).astype(np.int64)
-
-
 def _setup_counts(checkpoints, r_max, wild, class_ab, class_primes):
     """Cumulative per-(r, checkpoint) support counts for one subgroup.
 
-    Enumerates squarefree supports depth-first in ascending prime order; any
-    prime that can only close a support is counted in bulk per residue class,
-    so the recursion visits extensible prefixes only.
+    Rows r = 0..r_max, then one spill row for every r > r_max, so the column
+    sums are the count with the indicator ignored.  Enumerates squarefree
+    supports depth-first in ascending prime order; any prime that can only
+    close a support is counted in bulk per residue class, so the recursion
+    visits extensible prefixes only.
     """
     n_ck = len(checkpoints)
     xmax = checkpoints[-1]
@@ -286,7 +258,10 @@ def _setup_counts(checkpoints, r_max, wild, class_ab, class_primes):
     universe.sort()
     wild_entries = [(idx, p, w) for idx, (p, _, _, w) in enumerate(universe) if w > 0]
     class_lists = [(class_primes[c], a, b) for c, (a, b) in class_ab.items()]
-    bucket = [[0] * n_ck for _ in range(r_max + 1)]
+    rows = r_max + 2
+    # a hit moves a support one row up; the spill row absorbs every r > r_max
+    up = list(range(1, rows)) + [rows - 1]
+    bucket = [[0] * n_ck for _ in range(rows)]
 
     def record(prod, weights):
         k = bisect_right(checkpoints, prod)
@@ -309,14 +284,14 @@ def _setup_counts(checkpoints, r_max, wild, class_ab, class_primes):
                 continue
             if prod * p * p >= xmax:
                 break
-            new = [0] * (r_max + 1)
+            new = [0] * rows
             for r, x in enumerate(weights):
                 if not x:
                     continue
                 if b:
                     new[r] += x * b
-                if a and r + 1 <= r_max:
-                    new[r + 1] += x * a
+                if a:
+                    new[up[r]] += x * a
             if any(new):
                 dfs(i + 1, prod * p, new)
             i += 1
@@ -345,11 +320,11 @@ def _setup_counts(checkpoints, r_max, wild, class_ab, class_primes):
                             continue
                         if b:
                             bucket[r][k] += x * b * cnt
-                        if a and r + 1 <= r_max:
-                            bucket[r + 1][k] += x * a * cnt
+                        if a:
+                            bucket[up[r]][k] += x * a * cnt
                 prev = hi
 
-    root = [0] * (r_max + 1)
+    root = [0] * rows
     root[0] = 1
     dfs(0, 1, root)
     for row in bucket:
@@ -390,7 +365,7 @@ def _build_setups(group, omega, semantics):
 
 
 def _class_prime_lists(setups, exponent, wild_primes, xmax):
-    primes = _sieve_primes(xmax)
+    primes = sieve_primes(xmax)
     residues = primes % exponent if exponent > 1 else np.ones(len(primes), dtype=np.int64)
     used = set()
     for _, _, class_ab in setups:
@@ -414,12 +389,17 @@ def count_stratified(group: AbelianGroupSpec, omega, checkpoints, r_max: int,
                      cap: int | None = None, jobs: int = 1) -> list[list[int]]:
     """N(S(G), P; (Omega, r); x) for r = 0..r_max at each checkpoint (pair counts).
 
+    Row r holds the counts for r = 0..r_max; one more row, index r_max + 1,
+    holds every pair with more than r_max primes meeting Omega.  Each column
+    therefore sums to the empty-Omega total N(S(G), P; x), from the same pass.
     With jobs > 1 the Moebius terms run in worker processes; the merge is an
     ordered mu-weighted sum, so results are identical to the serial run.
     """
     omega = _check_omega(group, omega)
     if semantics not in ("subgroup_meets_omega", "generator_in_omega"):
         raise ValueError(f"unknown semantics {semantics!r}")
+    if r_max < 0:
+        raise ValueError(f"r_max must be nonnegative, got {r_max}")
     checkpoints = sorted(int(x) for x in checkpoints)
     if not checkpoints or checkpoints[0] < 1:
         raise ValueError("checkpoints must be positive")
@@ -430,7 +410,7 @@ def count_stratified(group: AbelianGroupSpec, omega, checkpoints, r_max: int,
 
     setups = _build_setups(group, omega, semantics)
     n_ck = len(checkpoints)
-    totals = [[0] * n_ck for _ in range(r_max + 1)]
+    totals = [[0] * n_ck for _ in range(r_max + 2)]
 
     if jobs > 1 and len(setups) > 1:
         from concurrent.futures import ProcessPoolExecutor
@@ -446,9 +426,9 @@ def count_stratified(group: AbelianGroupSpec, omega, checkpoints, r_max: int,
                    for _, wild, class_ab in setups]
 
     for (mu, _, _), bucket in zip(setups, buckets):
-        for r in range(r_max + 1):
+        for row, counts in zip(totals, bucket):
             for k in range(n_ck):
-                totals[r][k] += mu * bucket[r][k]
+                row[k] += mu * counts[k]
     return totals
 
 
@@ -470,7 +450,7 @@ def enumerate_records(group: AbelianGroupSpec, omega, x: int,
 
     budgets = {}
     admissible = []
-    for p in map(int, _sieve_primes(x)):
+    for p in map(int, sieve_primes(x)):
         budget = local_budget(p, group)
         if budget.total_nontrivial > 0:
             budgets[p] = budget
@@ -582,7 +562,7 @@ def ratio_trend(group: AbelianGroupSpec, omega, r: int, checkpoints,
     """(x, N(Omega, r; x) / N_total(x)) per checkpoint; exact rationals."""
     checkpoints = sorted(int(x) for x in checkpoints)
     strat = count_stratified(group, omega, checkpoints, r, semantics, cap)
-    totals = count_stratified(group, frozenset(), checkpoints, 0, cap=cap)[0]
+    totals = [sum(column) for column in zip(*strat)]
     out = []
     for k, x in enumerate(checkpoints):
         if totals[k] == 0:
@@ -601,7 +581,7 @@ def brute_force_total(group: AbelianGroupSpec, x: int) -> int:
     full = frozenset(group.elements())
     budgets = {}
     admissible = []
-    for p in map(int, _sieve_primes(x)):
+    for p in map(int, sieve_primes(x)):
         budget = local_budget(p, group)
         if budget.total_nontrivial > 0:
             # one entry per nontrivial map, carrying its image

@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .arith import invariant_factors, valuation
 from .errors import (
     InvalidInputs,
     MissingAbelianRank,
@@ -29,7 +30,6 @@ from .permgroup import (
     closed_under_invertible_powering,
     orbit_gcd,
     parse_group_spec,
-    valuation,
 )
 
 
@@ -120,35 +120,6 @@ def is_type(rec: RamifiedPrimeRecord, q: int, l: int,
     return e_K(rec, group) % q ** l == 0
 
 
-def _cyclic_factors_to_invariant(factors: list[int]) -> tuple[int, ...]:
-    """Invariant-factor form of a product of cyclic groups."""
-    exponents: dict[int, list[int]] = {}
-    for m in factors:
-        mm = m
-        p = 2
-        while p * p <= mm:
-            if mm % p == 0:
-                v = 0
-                while mm % p == 0:
-                    mm //= p
-                    v += 1
-                exponents.setdefault(p, []).append(v)
-            p += 1 if p == 2 else 2
-        if mm > 1:
-            exponents.setdefault(mm, []).append(1)
-    for p in exponents:
-        exponents[p].sort(reverse=True)
-    width = max((len(v) for v in exponents.values()), default=0)
-    out = []
-    for i in range(width):
-        d = 1
-        for p, exps in exponents.items():
-            if i < len(exps):
-                d *= p ** exps[i]
-        out.append(d)
-    return tuple(sorted(out))
-
-
 def genus_data(profile: RamificationProfile) -> GenusData:
     """Abelian part of the genus group read off the tame ramified primes."""
     factors = []
@@ -158,7 +129,7 @@ def genus_data(profile: RamificationProfile) -> GenusData:
             g = math.gcd(rec.p - 1, e)
             if g > 1:
                 factors.append(g)
-    return GenusData(_cyclic_factors_to_invariant(factors), {})
+    return GenusData(invariant_factors(factors), {})
 
 
 def _abelian_rank(profile: RamificationProfile, q: int) -> int:
@@ -308,7 +279,10 @@ def clm_predicted_moment(fixed_points: int) -> Fraction:
 
 def parse_profile(text: str) -> RamificationProfile:
     """Profile format: ``degree: n`` header, optional ``group: <spec>`` line,
-    then one ``p: e1,e2,...`` or ``p: class=<cycles>`` line per prime."""
+    then one ``p: e1,e2,...`` or ``p: class=<cycles>`` line per prime.
+
+    A malformed line or an inconsistent profile raises ParseError.
+    """
     degree = None
     group = None
     ranks: dict[int, int] = {}
@@ -321,30 +295,30 @@ def parse_profile(text: str) -> RamificationProfile:
         key, rest = key.strip(), rest.strip()
         if not rest:
             raise ParseError(f"bad profile line: {raw_line!r}")
-        if key == "degree":
-            degree = int(rest)
-            continue
         if key == "group":
             built = parse_group_spec(rest)
             group = built if isinstance(built, PermGroup) else built.group
             continue
-        if key == "abelian_rank":
-            q_text, _, r_text = rest.partition("=")
-            ranks[int(q_text)] = int(r_text)
-            continue
         try:
-            p = int(key)
+            if key == "degree":
+                degree = int(rest)
+            elif key == "abelian_rank":
+                q_text, _, r_text = rest.partition("=")
+                ranks[int(q_text)] = int(r_text)
+            elif rest.startswith("class="):
+                if degree is None:
+                    raise ParseError("degree header must precede class records")
+                perm = Permutation.parse(rest[len("class="):], degree)
+                records.append(RamifiedPrimeRecord(int(key), inertia_class=perm))
+            else:
+                exps = tuple(int(tok) for tok in rest.replace(",", " ").split())
+                records.append(RamifiedPrimeRecord(int(key), exponents=exps))
         except ValueError as exc:
             raise ParseError(f"bad profile line: {raw_line!r}") from exc
-        if rest.startswith("class="):
-            if degree is None:
-                raise ParseError("degree header must precede class records")
-            perm = Permutation.parse(rest[len("class="):], degree)
-            records.append(RamifiedPrimeRecord(p, inertia_class=perm))
-        else:
-            exps = tuple(int(tok) for tok in rest.replace(",", " ").split())
-            records.append(RamifiedPrimeRecord(p, exponents=exps))
     if degree is None:
         raise ParseError("profile needs a degree header")
-    return RamificationProfile(degree, records, group=group,
-                               abelian_subext_rank=ranks)
+    try:
+        return RamificationProfile(degree, records, group=group,
+                                   abelian_subext_rank=ranks)
+    except ValueError as exc:
+        raise ParseError(f"bad profile: {exc}") from exc

@@ -14,19 +14,15 @@ import sys
 from fractions import Fraction
 
 from . import abelian_fields, bounds, dirichlet, permgroup, quadratic
-from .errors import (
-    CapExceeded,
-    EmptyRange,
-    InsufficientData,
-    NotFundamental,
-    ParseError,
-    RamclassError,
-)
+from .arith import is_prime
+from .errors import CapExceeded, EmptyRange, InsufficientData, ParseError, RamclassError
 
 EXIT_PARSE = 2
 EXIT_EMPTY = 3
 EXIT_CAP = 4
 EXIT_DATA = 5
+# every other library error comes from bad input and exits EXIT_PARSE
+EXIT_CODES = ((EmptyRange, EXIT_EMPTY), (CapExceeded, EXIT_CAP), (InsufficientData, EXIT_DATA))
 
 
 def _fnum(value: float) -> float:
@@ -61,6 +57,13 @@ def _emit_table(header: str, rows, args) -> None:
     _emit("\n".join(lines) + "\n", args.out)
 
 
+def _parse_fraction(text: str, what: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ParseError(f"bad {what} {text!r}") from exc
+
+
 def _require_json(args) -> None:
     if getattr(args, "format", "json") == "csv":
         raise ParseError("this report is JSON only")
@@ -69,10 +72,12 @@ def _require_json(args) -> None:
 def _checkpoints(text: str) -> list[int]:
     try:
         values = [int(float(tok)) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
+    except (OverflowError, ValueError) as exc:
         raise ParseError(f"bad checkpoint list {text!r}") from exc
     if not values or values != sorted(values):
         raise ParseError("checkpoints must be ascending")
+    if values[0] < 1:
+        raise ParseError("checkpoints must be positive")
     return values
 
 
@@ -178,37 +183,40 @@ def _omega_selector(group: abelian_fields.AbelianGroupSpec, text: str | None):
     q_text, _, l_text = text.partition(":")
     try:
         q = int(q_text)
+        l = math.inf if l_text in ("inf", "linf", "") else int(l_text)
     except ValueError as exc:
         raise ParseError(f"bad omega selector {text!r}") from exc
-    if l_text in ("inf", "linf", ""):
-        return group.omega_subset(q, math.inf)
-    try:
-        return group.omega_subset(q, int(l_text))
-    except ValueError as exc:
-        raise ParseError(f"bad omega selector {text!r}") from exc
+    if not is_prime(q) or l < 1:
+        raise ParseError(f"omega selector {text!r} needs a prime q and l >= 1")
+    omega = group.omega_subset(q, l)
+    if not omega:
+        raise ParseError(f"omega selector {text!r} selects no element of the group")
+    return omega
 
 
 def cmd_abelian(args) -> None:
     group = _abelian_group_from_spec(args.spec)
     checkpoints = _checkpoints(args.checkpoints)
+    if args.r is not None and not args.omega:
+        raise ParseError("--r needs --omega")
+    if args.r is not None and args.r < 0:
+        raise ParseError(f"--r must be nonnegative, got {args.r}")
     omega = _omega_selector(group, args.omega)
     semantics = ("generator_in_omega" if args.semantics == "generator"
                  else "subgroup_meets_omega")
-    r_max = args.r if args.r is not None else 0
-    strat = abelian_fields.count_stratified(group, omega, checkpoints, r_max,
+    r = args.r if args.r is not None else 0
+    strat = abelian_fields.count_stratified(group, omega, checkpoints, r,
                                             semantics=semantics, cap=args.cap,
                                             jobs=args.jobs)
-    totals = abelian_fields.count_stratified(group, frozenset(), checkpoints, 0,
-                                             cap=args.cap, jobs=args.jobs)[0]
+    # the strata and the spill row above r partition the total
+    totals = [sum(column) for column in zip(*strat)]
     aut = abelian_fields.automorphism_count(group)
     rows = []
-    r_list = [args.r] if args.r is not None else [0]
-    for r in r_list:
-        for k, x in enumerate(checkpoints):
-            pairs = strat[r][k] if args.omega else totals[k]
-            fields = pairs // aut if pairs % aut == 0 else pairs / aut
-            ratio = pairs / totals[k] if totals[k] else 0.0
-            rows.append((x, r if args.omega else 0, pairs, fields, f"{ratio:.12g}"))
+    for k, x in enumerate(checkpoints):
+        pairs = strat[r][k]
+        fields = pairs // aut if pairs % aut == 0 else pairs / aut
+        ratio = pairs / totals[k] if totals[k] else 0.0
+        rows.append((x, r, pairs, fields, f"{ratio:.12g}"))
     _emit_table("x,r,count_pairs,count_fields,ratio", rows, args)
 
 
@@ -233,7 +241,7 @@ def _parse_params(text: str | None) -> dict:
             try:
                 params[key] = int(value)
             except ValueError:
-                params[key] = Fraction(value)
+                params[key] = _parse_fraction(value, f"parameter {key}")
     return params
 
 
@@ -258,10 +266,12 @@ def cmd_asymptotic(args) -> None:
     rows = []
     for line in data_lines:
         cells = line.split(",")
-        if len(cells) < 2:
-            raise ParseError(f"bad fit row {line!r}")
-        rows.append((float(cells[0]), float(cells[1])))
-    fixed = Fraction(args.loglog_exp) if args.loglog_exp is not None else None
+        try:
+            rows.append((float(cells[0]), float(cells[1])))
+        except (IndexError, ValueError) as exc:
+            raise ParseError(f"bad fit row {line!r}") from exc
+    fixed = (_parse_fraction(args.loglog_exp, "--loglog-exp")
+             if args.loglog_exp is not None else None)
     fit = dirichlet.fit_asymptotic(rows, loglog_exp=fixed)
     payload = {
         "log_exp": _fnum(fit.log_exp),
@@ -277,6 +287,8 @@ def cmd_asymptotic(args) -> None:
 
 def cmd_bounds(args) -> None:
     _require_json(args)
+    if not is_prime(args.q) or args.l < 1:
+        raise ParseError(f"--q must be prime and --l positive, got q = {args.q}, l = {args.l}")
     try:
         with open(args.profile) as fh:
             text = fh.read()
@@ -373,27 +385,17 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise ParseError(f"--jobs must be positive, got {args.jobs}")
         if args.command == "asymptotic":
             if args.mode == "predict" and not args.kind:
                 raise ParseError("predict needs --kind")
             if args.mode == "fit" and not args.csv:
                 raise ParseError("fit needs --csv")
         args.func(args)
-    except (ParseError, NotFundamental) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except EmptyRange as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EMPTY
-    except CapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
-    except InsufficientData as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except RamclassError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return next((code for kind, code in EXIT_CODES if isinstance(exc, kind)), EXIT_PARSE)
     return 0
 
 

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from .arith import euler_phi, omega_sieve, segmented_squarefree, sieve_primes
 from .errors import (
     BadResidue,
     CapExceeded,
@@ -21,7 +22,6 @@ from .errors import (
     MissingParam,
     UnsupportedSingularity,
 )
-from .permgroup import euler_phi
 
 SUMMATORY_CAP = 10 ** 7
 
@@ -32,14 +32,8 @@ class PrimeSieve:
     def __init__(self, limit: int):
         if limit < 2:
             raise ValueError("limit must be at least 2")
-        flags = np.ones(limit, dtype=bool)
-        flags[:2] = False
-        for p in range(2, int(limit ** 0.5) + 1):
-            if flags[p]:
-                flags[p * p::p] = False
         self.limit = limit
-        self.flags = flags
-        self.primes = np.flatnonzero(flags).astype(np.int64)
+        self.primes = sieve_primes(limit)
 
     def count_below(self, x: int) -> int:
         return int(np.searchsorted(self.primes, x, side="left"))
@@ -248,18 +242,6 @@ def fit_asymptotic(rows, loglog_exp=None) -> FitResult:
 # -- summatory oracle -----------------------------------------------------------
 
 
-def _omega_and_squarefree(limit: int):
-    omega = np.zeros(limit, dtype=np.int8)
-    squarefree = np.ones(limit, dtype=bool)
-    squarefree[0] = False
-    for p in range(2, limit):
-        if omega[p] == 0:
-            omega[p::p] += 1
-            if p * p < limit:
-                squarefree[p * p::p * p] = False
-    return omega, squarefree
-
-
 def summatory_oracle(kind: str, x: int, **params) -> float:
     """Exact partial sum of a nonnegative coefficient family below x.
 
@@ -275,8 +257,8 @@ def summatory_oracle(kind: str, x: int, **params) -> float:
     if kind == "ones":
         return float(x - 1)
     if kind == "squarefree_2_omega":
-        omega, squarefree = _omega_and_squarefree(x)
-        return float((np.int64(1) << omega[squarefree].astype(np.int64)).sum())
+        tally = np.bincount(omega_sieve(x)[segmented_squarefree(0, x)])
+        return float(sum(int(count) << w for w, count in enumerate(tally)))
     if kind in ("squarefree_ap_product", "custom"):
         if kind == "squarefree_ap_product":
             m = params.get("m")
@@ -291,19 +273,16 @@ def summatory_oracle(kind: str, x: int, **params) -> float:
         r = params.get("r")
         values = np.zeros(x, dtype=np.float64)
         values[1] = 1.0
-        omega, squarefree = _omega_and_squarefree(x)
-        for p in range(2, x):
-            if omega[p] != 1 or not squarefree[p]:  # keeps primes only
-                continue
+        for p in map(int, sieve_primes(x)):
             w = weight(p)
             if w:
                 mult = np.arange(p, x, p)
                 # gather precedes scatter, so each squarefree support
                 # accumulates its product exactly once in ascending order
                 values[mult] += values[mult // p] * w
-        mask = squarefree.copy()
+        mask = segmented_squarefree(0, x)
         if r is not None:
-            mask &= omega == r
+            mask &= omega_sieve(x) == r
             mask[1] = r == 0
         else:
             mask[1] = True

@@ -12,6 +12,7 @@ import re
 from fractions import Fraction
 from itertools import product as _iproduct
 
+from .arith import euler_phi, is_prime, prime_factors, valuation
 from .errors import (
     CapExceeded,
     DegreeMismatch,
@@ -28,58 +29,6 @@ from .errors import (
 DEFAULT_CLOSURE_CAP = 10_000
 
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
-
-
-def euler_phi(m: int) -> int:
-    """Euler totient by trial factorization (exact, small arguments only)."""
-    if m < 1:
-        raise ValueError(f"phi undefined for {m}")
-    result = m
-    n, p = m, 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        result -= result // n
-    return result
-
-
-def is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    p = 2
-    while p * p <= q:
-        if q % p == 0:
-            return False
-        p += 1 if p == 2 else 2
-    return True
-
-
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime divisors of n >= 1, ascending."""
-    out = []
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def valuation(n: int, q: int) -> int:
-    """Largest l with q^l | n."""
-    v = 0
-    while n % q == 0:
-        n //= q
-        v += 1
-    return v
 
 
 class Permutation:

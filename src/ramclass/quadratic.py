@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arith import is_squarefree, omega, omega_sieve, radical, segmented_squarefree
 from .errors import EmptyRange, NotFundamental
 
 SCAN_ORDERS = ("radical", "absdisc")
@@ -25,48 +26,11 @@ def is_fundamental(D: int) -> bool:
     if D in (0, 1):
         return False
     if D % 4 == 1:
-        return _is_squarefree(abs(D))
+        return is_squarefree(D)
     if D % 4 == 0:
         m = D // 4
-        return m % 4 in (2, 3) and _is_squarefree(abs(m))
+        return m % 4 in (2, 3) and is_squarefree(m)
     return False
-
-
-def _is_squarefree(n: int) -> bool:
-    d = 2
-    while d * d <= n:
-        if n % (d * d) == 0:
-            return False
-        d += 1
-    return True
-
-
-def radical(n: int) -> int:
-    """Product of the distinct primes dividing n."""
-    n = abs(n)
-    out = 1
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            out *= p
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    return out * (n if n > 1 else 1)
-
-
-def omega(n: int) -> int:
-    """Number of distinct prime divisors."""
-    n = abs(n)
-    count = 0
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            count += 1
-            while n % p == 0:
-                n //= p
-        p += 1 if p == 2 else 2
-    return count + (1 if n > 1 else 0)
 
 
 @dataclass(frozen=True)
@@ -157,16 +121,6 @@ def genus_check(rec: QuadraticFieldRecord) -> bool:
 # -- discriminant enumeration ---------------------------------------------------
 
 
-def _squarefree_flags(hi: int) -> np.ndarray:
-    flags = np.ones(hi, dtype=bool)
-    flags[0] = False
-    d = 2
-    while d * d < hi:
-        flags[d * d::d * d] = False
-        d += 1
-    return flags
-
-
 def enumerate_with_radicals(bound_kind: str, x: int,
                             signs: str = "imaginary") -> list[tuple[int, int]]:
     """(D, radical) pairs sorted by the chosen key, ties by |D|, imaginary first.
@@ -178,7 +132,7 @@ def enumerate_with_radicals(bound_kind: str, x: int,
         raise ValueError(f"unknown bound kind {bound_kind!r}")
     if signs not in ("imaginary", "both"):
         raise ValueError(f"unknown signs {signs!r}")
-    sf = _squarefree_flags(max(x + 2, 6))
+    sf = segmented_squarefree(0, max(x + 2, 6))
     items = []
 
     def push(D, P):
@@ -255,20 +209,6 @@ def segmented_ambiguous(lo: int, hi: int) -> np.ndarray:
         if lo <= special < hi:
             counts[special - lo] -= 1
     return counts
-
-
-def segmented_squarefree(lo: int, hi: int) -> np.ndarray:
-    flags = np.ones(hi - lo, dtype=bool)
-    if lo == 0:
-        flags[0] = False
-    d = 2
-    while d * d < hi:
-        sq = d * d
-        start = sq * ((lo + sq - 1) // sq)
-        if start < hi:
-            flags[start - lo:hi - lo:sq] = False
-        d += 1
-    return flags
 
 
 _POWERS_OF_TWO = 1 << np.arange(16, dtype=np.int64)
@@ -374,25 +314,10 @@ def rank_probability_scan(checkpoints, r: int, order: str = "radical", jobs: int
 def genus_sweep(max_abs_d: int) -> tuple[int, list[int]]:
     """Check the genus inequality on every imaginary fundamental |D| <= bound.
 
-    Returns (number checked, violating discriminants); rk2 comes from the
-    ambiguous-form sieve, omega from factoring |D|.
+    Returns (number checked, violating discriminants by increasing |D|); rk2
+    comes from the ambiguous-form sieve, omega from the omega sieve.
     """
-    violations = []
-    checked = 0
-    sf = _squarefree_flags(max_abs_d + 1)
-    amb = segmented_ambiguous(0, max_abs_d + 1)
-    for n in range(3, max_abs_d + 1):
-        if n % 4 == 3 and sf[n]:
-            pass
-        elif n % 4 == 0 and (n // 4) % 4 in (1, 2) and sf[n // 4]:
-            pass
-        else:
-            continue
-        count = int(amb[n])
-        assert count & (count - 1) == 0
-        rk2 = count.bit_length() - 1
-        w = omega(n)
-        checked += 1
-        if not (w - 1 <= rk2 <= w):
-            violations.append(-n)
-    return checked, violations
+    absd, _, rk2 = _segment_fields(0, max_abs_d + 1, max_abs_d + 1, "absdisc")
+    w = omega_sieve(max_abs_d + 1)[absd]
+    bad = np.sort(absd[(rk2 < w - 1) | (rk2 > w)])
+    return len(absd), [-int(n) for n in bad]

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramclass.abelian_fields import (
     AbelianGroupSpec,
@@ -260,3 +261,38 @@ def test_engines_agree_randomized():
                 agg = sum(rec.count for rec in recs if rec.r == r and rec.n < x)
                 assert agg == strat[r][k], (trial, group.invariant_factors,
                                             sorted(chosen), semantics, r, x)
+
+
+# every abelian group of order <= 12, as cyclic factors
+SMALL_GROUPS = [(2,), (3,), (4,), (2, 2), (5,), (6,), (7,), (8,), (2, 4), (2, 2, 2),
+                (9,), (3, 3), (10,), (11,), (12,), (2, 6)]
+
+
+@st.composite
+def spill_cases(draw):
+    group = AbelianGroupSpec(draw(st.sampled_from(SMALL_GROUPS)))
+    # a closed Omega is a union of generator sets of nontrivial cyclic subgroups
+    cyclic = sorted({group.cyclic_subgroup(g) for g in nontrivial(group)}, key=sorted)
+    chosen = draw(st.lists(st.sampled_from(cyclic), unique=True))
+    omega = frozenset(g for g in nontrivial(group)
+                      if group.cyclic_subgroup(g) in chosen)
+    semantics = draw(st.sampled_from(["subgroup_meets_omega", "generator_in_omega"]))
+    r_max = draw(st.integers(0, 3))
+    checkpoints = sorted(draw(st.sets(st.integers(2, 3000), min_size=1, max_size=4)))
+    checkpoints[0] = min(checkpoints[0], 400)
+    return group, omega, semantics, r_max, checkpoints
+
+
+@settings(max_examples=25, deadline=None)
+@given(spill_cases())
+def test_spill_row_completes_the_total(case):
+    group, omega, semantics, r_max, checkpoints = case
+    strat = count_stratified(group, omega, checkpoints, r_max, semantics=semantics)
+    assert len(strat) == r_max + 2
+    columns = [sum(column) for column in zip(*strat)]
+    assert columns == count_stratified(group, frozenset(), checkpoints, 0)[0]
+    assert columns[0] == brute_force_total(group, checkpoints[0])
+    recs = enumerate_records(group, omega, checkpoints[-1], semantics=semantics)
+    for r in range(r_max + 1):
+        for k, x in enumerate(checkpoints):
+            assert strat[r][k] == sum(rec.count for rec in recs if rec.r == r and rec.n < x)

@@ -2,6 +2,7 @@ import json
 from importlib import resources
 
 import jsonschema
+import pytest
 
 from ramclass.cli import main
 
@@ -269,3 +270,37 @@ def test_bounds_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     report = json.loads(dst.read_text())
     assert report["rz"]["type_count"] == 7
+
+
+# -- user errors -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("argv", [
+    ["abelian", "C3", "--checkpoints", "1e4", "--omega", "3:inf", "--r", "-1"],
+    ["abelian", "C3", "--checkpoints", "0"],
+    ["quadratic", "moment", "--checkpoints", "0"],
+    ["asymptotic", "predict", "--kind", "abelian"],
+    ["abelian", "C3", "--checkpoints", "1e3", "--jobs", "0"],
+    ["quadratic", "moment", "--checkpoints", "1e3", "--jobs", "-3"],
+    ["abelian", "C3", "--checkpoints", "1e3", "--omega", "5:inf", "--r", "1"],
+    ["abelian", "C3", "--checkpoints", "1e3", "--omega", "4:inf"],
+    ["abelian", "C3", "--checkpoints", "1e3", "--r", "1"],
+    ["asymptotic", "fit", "--csv", "{tmp}/bad.csv"],
+    ["asymptotic", "fit", "--csv", "{tmp}/good.csv", "--loglog-exp", "abc"],
+    ["asymptotic", "predict", "--kind", "abelian", "--params", "beta_complement=1/0"],
+    ["abelian", "C3", "--checkpoints", "1e400"],
+    ["bounds", "{tmp}/bad.profile", "--q", "3"],
+    ["bounds", "{tmp}/good.profile", "--q", "0"],
+    ["bounds", "{tmp}/good.profile", "--q", "3", "--rz-inputs", "9,0,0"],
+    ["bounds", "{tmp}/good.profile", "--q", "3", "--d4"],
+])
+def test_user_errors_exit_2_with_one_line(tmp_path, capsys, argv):
+    (tmp_path / "bad.csv").write_text("x,N\n1000,10\n1e4,many\n")
+    (tmp_path / "good.csv").write_text("x,N\n1000,10\n1e4,90\n1e5,800\n1e6,7000\n")
+    (tmp_path / "bad.profile").write_text("degree: four\n7: 3\n")
+    (tmp_path / "good.profile").write_text("degree: 3\n7: 3\n")
+    code, _, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert code == 2
+    assert "Traceback" not in err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:"), err
