@@ -11,7 +11,9 @@ inversion over the subgroup lattice.
 from __future__ import annotations
 
 import math
+import os
 from bisect import bisect_left, bisect_right
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iproduct
@@ -392,8 +394,9 @@ def count_stratified(group: AbelianGroupSpec, omega, checkpoints, r_max: int,
     Row r holds the counts for r = 0..r_max; one more row, index r_max + 1,
     holds every pair with more than r_max primes meeting Omega.  Each column
     therefore sums to the empty-Omega total N(S(G), P; x), from the same pass.
-    With jobs > 1 the Moebius terms run in worker processes; the merge is an
-    ordered mu-weighted sum, so results are identical to the serial run.
+    With jobs > 1 the Moebius terms run in min(jobs, terms, CPUs) worker
+    processes; the merge is an ordered mu-weighted sum, so results are
+    identical to the serial run.
     """
     omega = _check_omega(group, omega)
     if semantics not in ("subgroup_meets_omega", "generator_in_omega"):
@@ -412,12 +415,11 @@ def count_stratified(group: AbelianGroupSpec, omega, checkpoints, r_max: int,
     n_ck = len(checkpoints)
     totals = [[0] * n_ck for _ in range(r_max + 2)]
 
-    if jobs > 1 and len(setups) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
+    workers = min(jobs, len(setups), os.cpu_count() or 1)
+    if workers > 1:
         payloads = [(group.invariant_factors, checkpoints, r_max, wild, class_ab)
                     for _, wild, class_ab in setups]
-        with ProcessPoolExecutor(max_workers=min(jobs, len(payloads))) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             buckets = list(pool.map(_stratified_worker, payloads))
     else:
         class_primes = _class_prime_lists(setups, group.exponent,

@@ -48,7 +48,7 @@ def _emit_json(payload: dict, out_path: str | None) -> None:
 
 def _emit_table(header: str, rows, args) -> None:
     """Tabular output: CSV by default, JSON rows on request."""
-    if getattr(args, "format", "csv") == "json":
+    if args.format == "json":
         payload = {"header": header.split(","),
                    "rows": [[cell for cell in row] for row in rows]}
         _emit_json(payload, args.out)
@@ -62,11 +62,6 @@ def _parse_fraction(text: str, what: str) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise ParseError(f"bad {what} {text!r}") from exc
-
-
-def _require_json(args) -> None:
-    if getattr(args, "format", "json") == "csv":
-        raise ParseError("this report is JSON only")
 
 
 def _checkpoints(text: str) -> list[int]:
@@ -135,7 +130,6 @@ def group_report(spec: str) -> dict:
 
 
 def cmd_group(args) -> None:
-    _require_json(args)
     _emit_json(group_report(args.spec), args.out)
 
 
@@ -246,7 +240,6 @@ def _parse_params(text: str | None) -> dict:
 
 
 def cmd_asymptotic(args) -> None:
-    _require_json(args)
     if args.mode == "predict":
         shape = dirichlet.predicted_shape(args.kind, **_parse_params(args.params))
         payload = {
@@ -286,7 +279,6 @@ def cmd_asymptotic(args) -> None:
 
 
 def cmd_bounds(args) -> None:
-    _require_json(args)
     if not is_prime(args.q) or args.l < 1:
         raise ParseError(f"--q must be prime and --l positive, got q = {args.q}, l = {args.l}")
     try:
@@ -330,14 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="ramification-driven class group statistics")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def shared(p, default_format):
-        p.add_argument("--out")
-        p.add_argument("--format", choices=["csv", "json"], default=default_format)
+    def scan_options(p):
+        p.add_argument("--format", choices=["csv", "json"], default="csv")
         p.add_argument("--jobs", type=int, default=1)
 
     p = sub.add_parser("group", help="group invariants report")
     p.add_argument("spec")
-    shared(p, "json")
     p.set_defaults(func=cmd_group)
 
     p = sub.add_parser("quadratic", help="quadratic-field scans")
@@ -345,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoints", required=True)
     p.add_argument("--r", type=int)
     p.add_argument("--order", choices=list(quadratic.SCAN_ORDERS), default="radical")
-    shared(p, "csv")
+    scan_options(p)
     p.set_defaults(func=cmd_quadratic)
 
     p = sub.add_parser("abelian", help="exact abelian field counts")
@@ -356,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--semantics", choices=["subgroup", "generator"],
                    default="subgroup")
     p.add_argument("--cap", type=int)
-    shared(p, "csv")
+    scan_options(p)
     p.set_defaults(func=cmd_abelian)
 
     p = sub.add_parser("asymptotic", help="shape prediction and fitting")
@@ -365,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params")
     p.add_argument("--csv")
     p.add_argument("--loglog-exp", dest="loglog_exp")
-    shared(p, "json")
     p.set_defaults(func=cmd_asymptotic)
 
     p = sub.add_parser("bounds", help="rank bounds from a profile file")
@@ -375,17 +364,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--relative", type=int)
     p.add_argument("--d4", action="store_true")
     p.add_argument("--rz-inputs", dest="rz_inputs")
-    shared(p, "json")
     p.set_defaults(func=cmd_bounds)
 
+    for p in sub.choices.values():
+        p.add_argument("--out")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        if args.jobs < 1:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse has printed the usage error or the help
+        return exc.code
+    try:
+        if "jobs" in args and args.jobs < 1:
             raise ParseError(f"--jobs must be positive, got {args.jobs}")
         if args.command == "asymptotic":
             if args.mode == "predict" and not args.kind:

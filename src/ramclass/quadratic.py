@@ -3,20 +3,25 @@
 Class numbers come from exhaustive reduced-form enumeration and 2-ranks from
 counting ambiguous reduced forms (b = 0, a = b, or a = c), so the genus
 inequality omega - 1 <= rk2 <= omega is tested against two independent
-computations.  Scans over the family ordered by product of ramified primes
-are segmented by |D| range and merged by ordered summation, which keeps them
-deterministic under --jobs parallelism.
+computations.  One array function lists the fundamental discriminants of a
+|D| range with their radicals; enumeration, radical counts and scans read it.
+Scans over the family ordered by product of ramified primes (or by |D|) walk
+|D| in fixed segments of SEGMENT values, so their memory is bounded by the
+segment size, not by x.  --jobs only spreads the same segments over worker
+processes, and the per-segment tallies are summed in segment order, so the
+output is the same for every --jobs.
 """
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import is_squarefree, omega, omega_sieve, radical, segmented_squarefree
-from .errors import EmptyRange, NotFundamental
+from .errors import CapExceeded, EmptyRange, NotFundamental
 
 SCAN_ORDERS = ("radical", "absdisc")
 
@@ -120,43 +125,54 @@ def genus_check(rec: QuadraticFieldRecord) -> bool:
 
 # -- discriminant enumeration ---------------------------------------------------
 
+# largest x that enumerate_with_radicals lists; the list holds Python tuples
+ENUMERATION_CAP = 10 ** 6
+
+
+def _fundamentals(lo: int, hi: int, signs: str) -> tuple[np.ndarray, np.ndarray]:
+    """Fundamental D with |D| in [lo, hi) and their radicals, as int64 arrays.
+
+    Odd |D| = n > 1 is squarefree, with D = -n for n = 3 mod 4 and D = n for
+    n = 1 mod 4, of radical n.  |D| = 4k has k squarefree: k = 1 mod 4 gives
+    -4k and k = 3 mod 4 gives 4k, of radical 2k; k = 2 mod 4 gives -4k and 4k,
+    of radical k.  With signs = "imaginary" only the D < 0 are listed.
+    """
+    n_flags = segmented_squarefree(lo, hi)
+    klo = -(-lo // 4)
+    k_flags = segmented_squarefree(klo, -(-hi // 4))
+
+    def squarefree(flags, base, r):
+        """The m = r mod 4 in [base, base + len(flags)) with flags[m - base] set."""
+        start = base + (r - base) % 4
+        return np.arange(start, base + len(flags), 4, dtype=np.int64)[flags[start - base::4]]
+
+    n3 = squarefree(n_flags, lo, 3)
+    k1, k2 = squarefree(k_flags, klo, 1), squarefree(k_flags, klo, 2)
+    pairs = [(-n3, n3), (-4 * k1, 2 * k1), (-4 * k2, k2)]
+    if signs == "both":
+        n1, k3 = squarefree(n_flags, lo, 1), squarefree(k_flags, klo, 3)
+        n1 = n1[n1 > 1]
+        pairs += [(n1, n1), (4 * k3, 2 * k3), (4 * k2, k2)]
+    return np.concatenate([D for D, _ in pairs]), np.concatenate([P for _, P in pairs])
+
 
 def enumerate_with_radicals(bound_kind: str, x: int,
                             signs: str = "imaginary") -> list[tuple[int, int]]:
     """(D, radical) pairs sorted by the chosen key, ties by |D|, imaginary first.
 
-    Radicals fall out of the fundamental-discriminant shapes: odd |D| is its
-    own radical, |D| = 4k has radical 2k for odd k and k for k = 2j.
+    Raises CapExceeded above ENUMERATION_CAP.
     """
     if bound_kind not in ("abs_disc", "radical"):
         raise ValueError(f"unknown bound kind {bound_kind!r}")
     if signs not in ("imaginary", "both"):
         raise ValueError(f"unknown signs {signs!r}")
-    sf = segmented_squarefree(0, max(x + 2, 6))
-    items = []
-
-    def push(D, P):
-        if D > 0 and signs == "imaginary":
-            return
-        key = abs(D) if bound_kind == "abs_disc" else P
-        if key < x:
-            items.append((key, abs(D), 0 if D < 0 else 1, D, P))
-
-    for n in range(3, x, 2):
-        if sf[n]:
-            push(n if n % 4 == 1 else -n, n)
-    for k in range(1, x):
-        if not sf[k]:
-            continue
-        if k % 4 == 1:
-            push(-4 * k, 2 * k)
-        elif k % 4 == 3:
-            push(4 * k, 2 * k)
-        elif k % 4 == 2:
-            push(-4 * k, k)
-            push(4 * k, k)
-    items.sort()
-    return [(item[3], item[4]) for item in items]
+    if x > ENUMERATION_CAP:
+        raise CapExceeded(f"x = {x} exceeds enumeration cap {ENUMERATION_CAP}")
+    D, P = _fundamentals(0, max(4 * x if bound_kind == "radical" else x, 0), signs)
+    key = P if bound_kind == "radical" else np.abs(D)
+    D, P, key = D[key < x], P[key < x], key[key < x]
+    order = np.lexsort((D > 0, np.abs(D), key))
+    return list(zip(D[order].tolist(), P[order].tolist()))
 
 
 def enumerate_discriminants(bound_kind: str, x: int, signs: str = "imaginary") -> list[int]:
@@ -166,13 +182,15 @@ def enumerate_discriminants(bound_kind: str, x: int, signs: str = "imaginary") -
 
 def radical_counts_both_signs(x: int) -> np.ndarray:
     """counts[n] = number of fundamental discriminants (both signs) of radical n < x."""
-    counts = np.zeros(x, dtype=np.int64)
-    for _, P in enumerate_with_radicals("radical", x, signs="both"):
-        counts[P] += 1
-    return counts
+    _, P = _fundamentals(0, 4 * x, "both")
+    return np.bincount(P[P < x], minlength=x)
 
 
 # -- segmented batch machinery ---------------------------------------------------
+
+# |D| values per scan segment.  It bounds the scan's memory; each segment also
+# repeats the O(sqrt(hi)) loops of segmented_ambiguous, so smaller is slower.
+SEGMENT = 1 << 21
 
 
 def _bump(arr: np.ndarray, lo: int, hi: int, start: int, step: int,
@@ -226,37 +244,10 @@ def _segment_fields(lo: int, hi: int, max_key: int, order: str):
 
     Returns (absD, key, rk2) arrays; the key is the radical (or |D|).
     """
-    amb = segmented_ambiguous(lo, hi)
-    chunks = []
-
-    def keep(absd, p):
-        key = p if order == "radical" else absd
-        sel = key < max_key
-        if sel.any():
-            absd_sel = absd[sel]
-            chunks.append((absd_sel, key[sel], _rk2_from_counts(amb[absd_sel - lo])))
-
-    sf = segmented_squarefree(lo, hi)
-    n = np.arange(lo, hi, dtype=np.int64)
-    n_odd = n[(n % 4 == 3) & sf]
-    if len(n_odd):
-        keep(n_odd, n_odd)
-
-    klo, khi = (lo + 3) // 4, (hi - 1) // 4 + 1
-    if khi > klo:
-        ks = np.arange(klo, khi, dtype=np.int64)
-        sf_k = segmented_squarefree(klo, khi)
-        k1 = ks[(ks % 4 == 1) & sf_k]
-        if len(k1):
-            keep(4 * k1, 2 * k1)
-        k2 = ks[(ks % 4 == 2) & sf_k]
-        if len(k2):
-            keep(4 * k2, k2)
-
-    if not chunks:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty, empty
-    return tuple(np.concatenate([c[i] for c in chunks]) for i in range(3))
+    D, P = _fundamentals(lo, hi, "imaginary")
+    key = P if order == "radical" else -D
+    absd, key = -D[key < max_key], key[key < max_key]
+    return absd, key, _rk2_from_counts(segmented_ambiguous(lo, hi)[absd - lo])
 
 
 def _tally_segment(args):
@@ -281,15 +272,14 @@ def _scan(checkpoints, r_values, order: str = "radical", jobs: int = 1):
         raise ValueError("checkpoints must be positive integers")
     max_key = checkpoints[-1]
     hi = 4 * max_key if order == "radical" else max_key
-    jobs = max(1, int(jobs))
-    bounds = np.linspace(0, hi, jobs + 1).astype(int)
-    tasks = [(int(bounds[i]), int(bounds[i + 1]), max_key, order, checkpoints, r_values)
-             for i in range(jobs) if bounds[i] < bounds[i + 1]]
-    if len(tasks) == 1:
-        results = [_tally_segment(t) for t in tasks]
-    else:
-        with ProcessPoolExecutor(max_workers=len(tasks)) as pool:
+    tasks = [(lo, min(lo + SEGMENT, hi), max_key, order, checkpoints, r_values)
+             for lo in range(0, hi, SEGMENT)]
+    workers = min(int(jobs), len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_tally_segment, tasks))
+    else:
+        results = [_tally_segment(t) for t in tasks]
     counts = sum(r[0] for r in results)
     moments = sum(r[1] for r in results)
     le_counts = sum(r[2] for r in results)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from ramclass import abelian_fields, quadratic
 from ramclass.abelian_fields import AbelianGroupSpec, count_stratified
 from ramclass.dirichlet import PrimeSieve
 from ramclass.quadratic import moment_scan, rank_probability_scan
@@ -33,3 +34,26 @@ def quad_scan_rows():
         "moment": moment_scan(QUAD_CHECKPOINTS),
         "probability": rank_probability_scan(QUAD_CHECKPOINTS, 0),
     }
+
+
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Stand in for the engines' process pools: record each max_workers, run in-process."""
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(quadratic, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(abelian_fields, "ProcessPoolExecutor", SerialPool)
+    return sizes

@@ -1,4 +1,5 @@
 import math
+import os
 from fractions import Fraction
 
 import pytest
@@ -203,6 +204,19 @@ def test_cap_enforced():
         count_fields_total(AbelianGroupSpec([2, 2, 2]), 10 ** 6)
     with pytest.raises(CapExceeded):
         enumerate_records(C2, frozenset(), 10 ** 7)
+
+
+def test_stratified_workers_bounded(monkeypatch, serial_pool):
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    group = AbelianGroupSpec([2, 2])  # five Moebius terms
+    omega = group.omega_subset(2, math.inf)
+    want = count_stratified(group, omega, [300, 1000], 2)
+    assert count_stratified(group, omega, [300, 1000], 2, jobs=10 ** 6) == want
+    assert count_stratified(group, omega, [300, 1000], 2, jobs=2) == want
+    assert serial_pool == [3, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert count_stratified(group, omega, [300, 1000], 2, jobs=4) == want
+    assert serial_pool == [3, 2]  # unknown CPU count: in-process
 
 
 def test_semantics_flag_differs():

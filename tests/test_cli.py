@@ -147,6 +147,23 @@ def test_group_rejects_csv_format(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["group", "C2", "--jobs", "2"],
+    ["asymptotic", "predict", "--kind", "abelian", "--format", "json"],
+    ["bounds", "cubic.profile", "--q", "3", "--jobs", "1"],
+])
+def test_reports_take_no_scan_options(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_quadratic_fields_cap_exit_4(capsys):
+    code, out, err = run(capsys, "quadratic", "fields", "--checkpoints", "1e9")
+    assert code == 4 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 # -- asymptotic ---------------------------------------------------------------
 
 

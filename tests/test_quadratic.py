@@ -1,8 +1,13 @@
+import os
+
 import numpy as np
 import pytest
 
-from ramclass.errors import EmptyRange, NotFundamental
+from ramclass import quadratic
+from ramclass.errors import CapExceeded, EmptyRange, NotFundamental
 from ramclass.quadratic import (
+    ENUMERATION_CAP,
+    SCAN_ORDERS,
     QuadraticFieldRecord,
     ambiguous_count,
     ambiguous_reduced_forms,
@@ -54,6 +59,15 @@ def test_enumeration_matches_bruteforce_fundamental_test():
 def test_radicals_from_shapes_match_factorization():
     for D, P in enumerate_with_radicals("radical", 300, signs="both"):
         assert P == radical(D)
+    # radical(D) >= |D| / 4, so every D of radical below 300 has |D| < 1200
+    brute = sorted((radical(D), abs(D), D > 0, D)
+                   for D in range(-1199, 1200) if is_fundamental(D) and radical(D) < 300)
+    assert enumerate_with_radicals("radical", 300, "both") == [(D, P) for P, _, _, D in brute]
+
+
+def test_enumeration_cap():
+    with pytest.raises(CapExceeded):
+        enumerate_with_radicals("abs_disc", ENUMERATION_CAP + 1)
 
 
 # -- class data -------------------------------------------------------------------
@@ -160,10 +174,33 @@ def test_probability_scan_decreasing():
     assert rows[0][2] > rows[-1][2]
 
 
-def test_scan_jobs_deterministic():
+def test_scan_jobs_deterministic(monkeypatch):
     ck = [100, 1000, 5000]
     assert moment_scan(ck, jobs=1) == moment_scan(ck, jobs=3)
     assert rank_probability_scan(ck, 1, jobs=1) == rank_probability_scan(ck, 1, jobs=4)
+    # these checkpoints fit in one default segment; split them into many
+    want = {order: (moment_scan(ck, order), rank_probability_scan(ck, 1, order))
+            for order in SCAN_ORDERS}
+    monkeypatch.setattr(quadratic, "SEGMENT", 997)
+    for order in SCAN_ORDERS:
+        for jobs in (1, 2):
+            got = (moment_scan(ck, order, jobs), rank_probability_scan(ck, 1, order, jobs))
+            assert got == want[order], (order, jobs)
+
+
+def test_scan_workers_bounded(monkeypatch, serial_pool):
+    monkeypatch.setattr(quadratic, "SEGMENT", 997)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    ck = [100, 1000, 5000]
+    want = moment_scan(ck)
+    assert serial_pool == []  # jobs = 1 runs in-process
+    assert moment_scan(ck, jobs=10 ** 6) == want  # 21 segments, 3 CPUs
+    rank_probability_scan([1000], 1, order="absdisc", jobs=10 ** 6)  # 2 segments
+    rank_probability_scan(ck, 1, jobs=2)
+    assert serial_pool == [3, 2, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert moment_scan(ck, jobs=8) == want
+    assert serial_pool == [3, 2, 2]  # unknown CPU count: in-process
 
 
 def test_scan_absdisc_order():
