@@ -5,15 +5,16 @@ number of surjections from the product of local unit groups onto G whose
 ramified support multiplies to n.  Local budgets are tabulated per prime
 (tame: one map per element of order dividing p-1; wild: tame character times
 a map from the pro-p line), and joint surjectivity is enforced by Moebius
-inversion over the subgroup lattice.
+inversion over the subgroup lattice.  Subgroups with the same local data are
+merged into one term, and the counter sieves the primes once and walks the
+squarefree supports once for all terms; enumerate_records and
+brute_force_total are the slow, independent checks of that walk.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from bisect import bisect_left, bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iproduct
@@ -240,95 +241,91 @@ def _hit(group: AbelianGroupSpec, g: Element, omega, semantics: str) -> bool:
     return bool(group.cyclic_subgroup(g) & omega)
 
 
-def _setup_counts(checkpoints, r_max, wild, class_ab, class_primes):
-    """Cumulative per-(r, checkpoint) support counts for one subgroup.
+def _setup_counts(checkpoints, r_max, setups, class_primes):
+    """Cumulative per-(r, checkpoint) pair counts, summed over the Moebius terms.
 
     Rows r = 0..r_max, then one spill row for every r > r_max, so the column
-    sums are the count with the indicator ignored.  Enumerates squarefree
-    supports depth-first in ascending prime order; any prime that can only
-    close a support is counted in bulk per residue class, so the recursion
-    visits extensible prefixes only.
+    sums are the count with the indicator ignored.  One depth-first walk over
+    squarefree supports in ascending prime order serves every term: a node
+    carries one weight row per term still alive on it, starting at the term's
+    mu, and each support adds the sum over terms.  Only primes p with
+    p * p < x can be extended, so they alone make up the walk; every prime
+    that can only close a support is counted in bulk per residue class.
     """
     n_ck = len(checkpoints)
     xmax = checkpoints[-1]
-    universe = []  # (p, a, b, wild_weight); wild entries have a = b = 0
-    for p, w in wild:
-        if w > 0 and p < xmax:
-            universe.append((p, 0, 0, w))
-    for c, (a, b) in class_ab.items():
-        universe.extend((p, a, b, 0) for p in class_primes[c])
-    universe.sort()
-    wild_entries = [(idx, p, w) for idx, (p, _, _, w) in enumerate(universe) if w > 0]
-    class_lists = [(class_primes[c], a, b) for c, (a, b) in class_ab.items()]
+    root_break = math.isqrt(xmax - 1) + 1  # the least p with p * p >= xmax
+    universe = []  # (p, per-term wild weights, None) or (p, None, per-term (hit, miss))
+    for column in zip(*(wild for _, wild, _ in setups)):
+        p, ws = column[0][0], tuple(w for _, w in column)
+        if any(ws) and p < xmax:
+            universe.append((p, ws, None))
+    class_lists = []
+    for c in sorted(set().union(*(class_ab for _, _, class_ab in setups))):
+        ab = tuple(class_ab.get(c, (0, 0)) for _, _, class_ab in setups)
+        plist = class_primes[c]
+        universe.extend((p, None, ab) for p in plist[:bisect_left(plist, root_break)])
+        class_lists.append((plist, ab))
+    universe.sort(key=lambda entry: entry[0])
+    wild_entries = [(idx, p, ws) for idx, (p, ws, _) in enumerate(universe) if ws]
     rows = r_max + 2
     # a hit moves a support one row up; the spill row absorbs every r > r_max
     up = list(range(1, rows)) + [rows - 1]
     bucket = [[0] * n_ck for _ in range(rows)]
 
-    def record(prod, weights):
-        k = bisect_right(checkpoints, prod)
-        if k == n_ck:
-            return
-        for r, w in enumerate(weights):
-            if w:
-                bucket[r][k] += w
+    def step(weights, ws, ab):
+        """The live terms' rows after one more prime: wild weights or tame (hit, miss)."""
+        if ws:
+            return [(t, [x * ws[t] for x in row]) for t, row in weights if ws[t]]
+        out = []
+        for t, row in weights:
+            a, b = ab[t]
+            if a or b:
+                new = [x * b for x in row]
+                if a:
+                    for r, x in enumerate(row):
+                        new[up[r]] += x * a
+                out.append((t, new))
+        return out
+
+    def deposit(k, weights, scale=1):
+        for _, row in weights:
+            for r, x in enumerate(row):
+                bucket[r][k] += x * scale
 
     def dfs(start, prod, weights):
-        record(prod, weights)
+        k = bisect_right(checkpoints, prod)
+        if k < n_ck:
+            deposit(k, weights)
         i = start
         while i < len(universe):
-            p, a, b, w = universe[i]
-            if prod * p >= xmax:
+            p, ws, ab = universe[i]
+            if prod * p >= xmax or (ab and prod * p * p >= xmax):
                 break
-            if w > 0:
-                dfs(i + 1, prod * p, [x * w for x in weights])
-                i += 1
-                continue
-            if prod * p * p >= xmax:
-                break
-            new = [0] * rows
-            for r, x in enumerate(weights):
-                if not x:
-                    continue
-                if b:
-                    new[r] += x * b
-                if a:
-                    new[up[r]] += x * a
-            if any(new):
+            new = step(weights, ws, ab)
+            if new:
                 dfs(i + 1, prod * p, new)
             i += 1
-        if i >= len(universe):
-            return
-        # bulk zone: no prime from index i on can be extended further
-        v_break = universe[i][0]
-        for idx, p, w in wild_entries:
+        # bulk zone: no prime from v_break on can be extended further; the
+        # class primes left out of the universe start at root_break
+        v_break = min(universe[i][0], root_break) if i < len(universe) else root_break
+        for idx, p, ws in wild_entries:
             if idx >= i and prod * p < xmax:
                 k = bisect_right(checkpoints, prod * p)
                 if k < n_ck:
-                    for r, x in enumerate(weights):
-                        if x:
-                            bucket[r][k] += x * w
-        for plist, a, b in class_lists:
-            lo = bisect_left(plist, v_break)
-            if lo >= len(plist):
-                continue
-            prev = lo
+                    deposit(k, step(weights, ws, None))
+        for plist, ab in class_lists:
+            prev = bisect_left(plist, v_break)
+            stepped = None
             for k in range(n_ck):
                 hi = bisect_right(plist, (checkpoints[k] - 1) // prod, lo=prev)
-                cnt = hi - prev
-                if cnt:
-                    for r, x in enumerate(weights):
-                        if not x:
-                            continue
-                        if b:
-                            bucket[r][k] += x * b * cnt
-                        if a:
-                            bucket[up[r]][k] += x * a * cnt
+                if hi > prev:
+                    stepped = stepped or step(weights, None, ab)
+                    deposit(k, stepped, hi - prev)
                 prev = hi
 
-    root = [0] * rows
-    root[0] = 1
-    dfs(0, 1, root)
+    first = [0] * (rows - 1)
+    dfs(0, 1, [(t, [mu] + first) for t, (mu, _, _) in enumerate(setups)])
     for row in bucket:
         acc = 0
         for k in range(n_ck):
@@ -338,65 +335,58 @@ def _setup_counts(checkpoints, r_max, wild, class_ab, class_primes):
 
 
 def _build_setups(group, omega, semantics):
-    """Per-subgroup (mu, wild weights, per-class hit/miss counts)."""
+    """Moebius terms (mu, wild weights, per-class hit/miss counts) of the lattice.
+
+    Subgroups with the same local data count the same supports, so their
+    terms are merged by adding mu; merged terms with mu = 0 are dropped.
+    """
     lattice = subgroup_moebius(group)
     exponent = group.exponent
     wild_primes = prime_factors(group.order)
     wild_budgets = {p: wild_local_budget(p, group) for p in wild_primes}
-    setups = []
+    merged: dict = {}
     for H in lattice.subgroups:
         mu = lattice.moebius[H]
         if mu == 0:
             continue
-        wild = []
-        for p in wild_primes:
-            w = sum(cnt for img, cnt in wild_budgets[p].maps() if img <= H) - 1
-            wild.append((p, w))
+        wild = tuple((p, sum(cnt for img, cnt in wild_budgets[p].maps() if img <= H) - 1)
+                     for p in wild_primes)
         members = [(group.element_order(g), _hit(group, g, omega, semantics))
                    for g in H if g != group.identity]
-        class_ab = {}
+        class_ab = []
         for c in range(1, exponent + 1):
             if math.gcd(c, exponent) != 1:
                 continue
             a = sum(1 for gamma, hit in members if (c - 1) % gamma == 0 and hit)
             b = sum(1 for gamma, hit in members if (c - 1) % gamma == 0 and not hit)
             if a + b:
-                class_ab[c] = (a, b)
-        setups.append((mu, wild, class_ab))
-    return setups
+                class_ab.append((c, (a, b)))
+        key = (wild, tuple(class_ab))
+        merged[key] = merged.get(key, 0) + mu
+    return [(mu, wild, dict(class_ab)) for (wild, class_ab), mu in merged.items() if mu]
 
 
-def _class_prime_lists(setups, exponent, wild_primes, xmax):
+def _class_prime_lists(setups, exponent, xmax):
+    """Primes below xmax by the residue classes mod the exponent that the terms use.
+
+    A wild prime divides the exponent, so it lies in no class prime to it.
+    """
     primes = sieve_primes(xmax)
-    residues = primes % exponent if exponent > 1 else np.ones(len(primes), dtype=np.int64)
-    used = set()
-    for _, _, class_ab in setups:
-        used.update(class_ab)
-    wild_set = set(wild_primes)
-    return {c: [int(p) for p in primes[residues == (c % exponent)]
-                if int(p) not in wild_set]
-            for c in used}
-
-
-def _stratified_worker(payload):
-    factors, checkpoints, r_max, wild, class_ab = payload
-    group = AbelianGroupSpec(factors)
-    class_primes = _class_prime_lists([(1, wild, class_ab)], group.exponent,
-                                      [p for p, _ in wild], checkpoints[-1])
-    return _setup_counts(checkpoints, r_max, wild, class_ab, class_primes)
+    residues = primes % exponent
+    used = set().union(*(class_ab for _, _, class_ab in setups))
+    return {c: primes[residues == c].tolist() for c in used}
 
 
 def count_stratified(group: AbelianGroupSpec, omega, checkpoints, r_max: int,
                      semantics: str = "subgroup_meets_omega",
-                     cap: int | None = None, jobs: int = 1) -> list[list[int]]:
+                     cap: int | None = None) -> list[list[int]]:
     """N(S(G), P; (Omega, r); x) for r = 0..r_max at each checkpoint (pair counts).
 
     Row r holds the counts for r = 0..r_max; one more row, index r_max + 1,
     holds every pair with more than r_max primes meeting Omega.  Each column
     therefore sums to the empty-Omega total N(S(G), P; x), from the same pass.
-    With jobs > 1 the Moebius terms run in min(jobs, terms, CPUs) worker
-    processes; the merge is an ordered mu-weighted sum, so results are
-    identical to the serial run.
+    The primes are sieved once and every Moebius term is counted in one
+    support walk.
     """
     omega = _check_omega(group, omega)
     if semantics not in ("subgroup_meets_omega", "generator_in_omega"):
@@ -412,26 +402,8 @@ def count_stratified(group: AbelianGroupSpec, omega, checkpoints, r_max: int,
         raise CapExceeded(f"x = {xmax} exceeds cap {limit}")
 
     setups = _build_setups(group, omega, semantics)
-    n_ck = len(checkpoints)
-    totals = [[0] * n_ck for _ in range(r_max + 2)]
-
-    workers = min(jobs, len(setups), os.cpu_count() or 1)
-    if workers > 1:
-        payloads = [(group.invariant_factors, checkpoints, r_max, wild, class_ab)
-                    for _, wild, class_ab in setups]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            buckets = list(pool.map(_stratified_worker, payloads))
-    else:
-        class_primes = _class_prime_lists(setups, group.exponent,
-                                          prime_factors(group.order), xmax)
-        buckets = [_setup_counts(checkpoints, r_max, wild, class_ab, class_primes)
-                   for _, wild, class_ab in setups]
-
-    for (mu, _, _), bucket in zip(setups, buckets):
-        for row, counts in zip(totals, bucket):
-            for k in range(n_ck):
-                row[k] += mu * counts[k]
-    return totals
+    class_primes = _class_prime_lists(setups, group.exponent, xmax)
+    return _setup_counts(checkpoints, r_max, setups, class_primes)
 
 
 def enumerate_records(group: AbelianGroupSpec, omega, x: int,

@@ -200,8 +200,7 @@ def cmd_abelian(args) -> None:
                  else "subgroup_meets_omega")
     r = args.r if args.r is not None else 0
     strat = abelian_fields.count_stratified(group, omega, checkpoints, r,
-                                            semantics=semantics, cap=args.cap,
-                                            jobs=args.jobs)
+                                            semantics=semantics, cap=args.cap)
     # the strata and the spill row above r partition the total
     totals = [sum(column) for column in zip(*strat)]
     aut = abelian_fields.automorphism_count(group)
@@ -316,8 +315,13 @@ def cmd_bounds(args) -> None:
 # -- driver -------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # one line, like every other user error
+        self.exit(EXIT_PARSE, f"error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ramclass",
         description="ramification-driven class group statistics")
     sub = parser.add_subparsers(dest="command", required=True)

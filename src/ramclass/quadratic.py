@@ -14,6 +14,7 @@ output is the same for every --jobs.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -217,8 +218,9 @@ def segmented_ambiguous(lo: int, hi: int) -> np.ndarray:
     while 3 * a * a < hi:
         _bump(counts, lo, hi, 3 * a * a, 4 * a)
         a += 1
-    # (a, b, a): n = (2a - b)(2a + b) = uv with u <= v <= 3u, u + v = 0 mod 4
-    u = 1
+    # (a, b, a): n = (2a - b)(2a + b) = uv with u <= v <= 3u, u + v = 0 mod 4;
+    # n <= 3u^2, so the first u to reach the segment is the least with 3u^2 >= lo
+    u = math.isqrt(max(lo - 1, 0) // 3) + 1
     while u * u < hi:
         v0 = u + ((-2 * u) % 4)
         _bump(counts, lo, hi, u * v0, 4 * u, last=3 * u * u)

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from ramclass import abelian_fields, quadratic
+from ramclass import quadratic
 from ramclass.abelian_fields import AbelianGroupSpec, count_stratified
 from ramclass.dirichlet import PrimeSieve
 from ramclass.quadratic import moment_scan, rank_probability_scan
@@ -38,7 +38,7 @@ def quad_scan_rows():
 
 @pytest.fixture
 def serial_pool(monkeypatch):
-    """Stand in for the engines' process pools: record each max_workers, run in-process."""
+    """Stand in for the scan's process pool: record each max_workers, run in-process."""
     sizes = []
 
     class SerialPool:
@@ -55,5 +55,4 @@ def serial_pool(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(quadratic, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(abelian_fields, "ProcessPoolExecutor", SerialPool)
     return sizes

@@ -1,10 +1,10 @@
 import math
-import os
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ramclass import abelian_fields
 from ramclass.abelian_fields import (
     AbelianGroupSpec,
     FieldCountRecord,
@@ -206,19 +206,6 @@ def test_cap_enforced():
         enumerate_records(C2, frozenset(), 10 ** 7)
 
 
-def test_stratified_workers_bounded(monkeypatch, serial_pool):
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    group = AbelianGroupSpec([2, 2])  # five Moebius terms
-    omega = group.omega_subset(2, math.inf)
-    want = count_stratified(group, omega, [300, 1000], 2)
-    assert count_stratified(group, omega, [300, 1000], 2, jobs=10 ** 6) == want
-    assert count_stratified(group, omega, [300, 1000], 2, jobs=2) == want
-    assert serial_pool == [3, 2]
-    monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert count_stratified(group, omega, [300, 1000], 2, jobs=4) == want
-    assert serial_pool == [3, 2]  # unknown CPU count: in-process
-
-
 def test_semantics_flag_differs():
     # Omega = {order-2 element} in C4: a tame 1 mod 4 prime mapping onto C4
     # meets Omega as a subgroup but its generator is outside Omega
@@ -310,3 +297,56 @@ def test_spill_row_completes_the_total(case):
     for r in range(r_max + 1):
         for k, x in enumerate(checkpoints):
             assert strat[r][k] == sum(rec.count for rec in recs if rec.r == r and rec.n < x)
+
+
+# the order-16 groups, where many Moebius terms share their local data and
+# merge; in C2^4 the two semantics coincide, so it runs once
+MERGE_CASES = [((2, 2, 2, 2), "subgroup_meets_omega")] + [
+    (factors, semantics) for factors in [(4, 4), (2, 2, 4), (2, 8), (16,)]
+    for semantics in ("subgroup_meets_omega", "generator_in_omega")]
+# squares and their neighbours: the walk's universe stops below sqrt of the top one;
+# 17 * 19 = 323 < 18^2 is a two-prime support onto C16 and C2xC8 right at that edge
+MERGE_CHECKPOINTS = [1, 2, 4, 9, 10, 25, 48, 49, 50, 120, 121, 324, 2000]
+
+
+@pytest.mark.parametrize("factors, semantics", MERGE_CASES,
+                         ids=[f"{'x'.join(f'C{d}' for d in f)}-{s[:3]}" for f, s in MERGE_CASES])
+def test_merged_terms_match_records(factors, semantics):
+    group = AbelianGroupSpec(factors)
+    omega = group.omega_subset(2, 1)
+    if factors == (2, 2, 2, 2):  # 2:1 is every element; keep half of them
+        omega = frozenset(g for g in omega if g[0] == 1)
+    r_max = 2
+    recs = enumerate_records(group, omega, MERGE_CHECKPOINTS[-1], semantics=semantics)
+
+    def want(r, x):
+        return sum(rec.count for rec in recs if min(rec.r, r_max + 1) == r and rec.n < x)
+
+    strat = count_stratified(group, omega, MERGE_CHECKPOINTS, r_max, semantics=semantics)
+    assert strat == [[want(r, x) for x in MERGE_CHECKPOINTS] for r in range(r_max + 2)]
+    k = MERGE_CHECKPOINTS.index(50)
+    assert sum(row[k] for row in strat) == brute_force_total(group, 50)
+    # each checkpoint as the top of its own walk, so each one sets the universe
+    setups = abelian_fields._build_setups(group, omega, semantics)
+    class_primes = abelian_fields._class_prime_lists(setups, group.exponent,
+                                                     MERGE_CHECKPOINTS[-1])
+    for x in MERGE_CHECKPOINTS:
+        single = abelian_fields._setup_counts([x], r_max, setups, class_primes)
+        assert single == [[want(r, x)] for r in range(r_max + 2)], x
+
+
+def test_one_sieve_and_one_walk_per_count(monkeypatch):
+    calls = {"sieve_primes": 0, "_setup_counts": 0}
+    for name in calls:
+        inner = getattr(abelian_fields, name)
+
+        def counted(*args, _inner=inner, _name=name):
+            calls[_name] += 1
+            return _inner(*args)
+
+        monkeypatch.setattr(abelian_fields, name, counted)
+    for factors, ck in (((3,), [10 ** 4, 10 ** 5]), ((2, 2, 2), [1000]), ((2, 4), [1, 500])):
+        group = AbelianGroupSpec(factors)
+        before = dict(calls)
+        count_stratified(group, group.omega_subset(2 if group.order % 2 == 0 else 3, 1), ck, 2)
+        assert calls == {name: n + 1 for name, n in before.items()}, factors

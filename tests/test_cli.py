@@ -310,6 +310,9 @@ def test_bounds_out_file(tmp_path, capsys):
     ["bounds", "{tmp}/good.profile", "--q", "0"],
     ["bounds", "{tmp}/good.profile", "--q", "3", "--rz-inputs", "9,0,0"],
     ["bounds", "{tmp}/good.profile", "--q", "3", "--d4"],
+    ["group", "C2", "--format", "csv"],
+    ["abelian", "C3"],
+    ["quadratic", "nosuch", "--checkpoints", "1e3"],
 ])
 def test_user_errors_exit_2_with_one_line(tmp_path, capsys, argv):
     (tmp_path / "bad.csv").write_text("x,N\n1000,10\n1e4,many\n")

@@ -2,6 +2,7 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ramclass import quadratic
 from ramclass.errors import CapExceeded, EmptyRange, NotFundamental
@@ -112,6 +113,14 @@ def test_segmented_ambiguous_matches_divisor_sweep():
     # segment split must agree with the full run
     t1, t2 = segmented_ambiguous(0, 2500), segmented_ambiguous(2500, 5000)
     assert np.array_equal(np.concatenate([t1, t2]), seg)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.integers(0, 12), st.integers(0, 10 ** 5)), st.integers(0, 150))
+def test_segmented_ambiguous_matches_divisor_sweep_on_segments(lo, half_width):
+    hi = lo + 2 * half_width + 1
+    seg = segmented_ambiguous(lo, hi)
+    assert [int(c) for c in seg] == [ambiguous_count(-n) for n in range(lo, hi)]
 
 
 def test_segmented_squarefree():
