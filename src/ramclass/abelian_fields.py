@@ -8,11 +8,14 @@ a map from the pro-p line), and joint surjectivity is enforced by Moebius
 inversion over the subgroup lattice.  Subgroups with the same local data are
 merged into one term, and the counter sieves the primes once and walks the
 squarefree supports once for all terms; enumerate_records and
-brute_force_total are the slow, independent checks of that walk.
+brute_force_total are the slow, independent checks of that walk.  The
+lattice is listed by joining cyclic subgroups, its Moebius function comes
+from P. Hall's closed form for abelian groups, and it is built once per group.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -44,10 +47,9 @@ class AbelianGroupSpec:
         orders = list(cyclic_orders)
         if not orders or any(d < 2 for d in orders):
             raise ValueError(f"cyclic orders must be >= 2, got {cyclic_orders!r}")
-        factors = invariant_factors(orders)
-        if math.prod(factors) > order_cap:
-            raise CapExceeded(f"group order {math.prod(factors)} exceeds cap {order_cap}")
-        object.__setattr__(self, "invariant_factors", factors)
+        if math.prod(orders) > order_cap:  # before factoring a huge order
+            raise CapExceeded(f"group order {math.prod(orders)} exceeds cap {order_cap}")
+        object.__setattr__(self, "invariant_factors", invariant_factors(orders))
 
     @property
     def order(self) -> int:
@@ -78,18 +80,9 @@ class AbelianGroupSpec:
             h = self.add(h, g)
         return frozenset(out)
 
-    def span(self, gens) -> frozenset[Element]:
-        out = {self.identity}
-        frontier = [self.identity]
-        gens = list(gens)
-        while frontier:
-            a = frontier.pop()
-            for g in gens:
-                b = self.add(a, g)
-                if b not in out:
-                    out.add(b)
-                    frontier.append(b)
-        return frozenset(out)
+    def join(self, a, b) -> frozenset[Element]:
+        """The subgroup generated by subgroups a and b: their coset sum a + b."""
+        return frozenset(self.add(x, y) for x in a for y in b)
 
     def omega_subset(self, q: int, l) -> frozenset[Element]:
         """Omega(G, q^l) under the regular action, where e(g) = ord(g)."""
@@ -119,31 +112,29 @@ class SubgroupLattice:
     moebius: dict
 
 
+@functools.cache
 def subgroup_moebius(group: AbelianGroupSpec) -> SubgroupLattice:
-    """All subgroups of G with the Moebius function mu(H, G) of the lattice."""
-    full = frozenset(group.elements())
-    subgroups = {frozenset([group.identity]), full}
-    subgroups |= {group.cyclic_subgroup(g) for g in group.elements()}
-    changed = True
-    while changed:
-        changed = False
-        current = list(subgroups)
-        for i, a in enumerate(current):
-            for b in current[i + 1:]:
-                if a <= b or b <= a:
-                    continue
-                join = group.span(a | b)
-                if join not in subgroups:
-                    subgroups.add(join)
-                    changed = True
-    # mu(G,G) = 1 and sum over H <= K <= G of mu(K,G) = 0, solved top-down
+    """All subgroups of G, largest first, with the Moebius function mu(H, G).
+
+    Every subgroup is a join of cyclic ones, so joining each cyclic subgroup
+    into every subgroup found so far lists them all.  By P. Hall's closed form
+    for abelian G, mu(H, G) = 0 unless H contains the Frattini subgroup
+    rad(|G|) G, and is otherwise the product of (-1)^k p^(k(k-1)/2) over
+    p^k || [G : H].  Cached, so each group's lattice is built once.
+    """
+    subgroups = {frozenset([group.identity])}
+    for c in {group.cyclic_subgroup(g) for g in group.elements()}:
+        subgroups |= {h if c <= h else group.join(h, c) for h in subgroups}
+    rad = math.prod(prime_factors(group.order))
+    frattini = {tuple((x * rad) % d for x, d in zip(g, group.invariant_factors))
+                for g in group.elements()}
     ordered = sorted(subgroups, key=lambda s: (-len(s), sorted(s)))
     moebius: dict = {}
     for h in ordered:
-        if h == full:
-            moebius[h] = 1
-        else:
-            moebius[h] = -sum(mu for k, mu in moebius.items() if h < k)
+        index = group.order // len(h)
+        ks = [(p, valuation(index, p)) for p in prime_factors(index)]
+        moebius[h] = (math.prod((-1) ** k * p ** math.comb(k, 2) for p, k in ks)
+                      if frattini <= h else 0)
     return SubgroupLattice(group, tuple(ordered), moebius)
 
 
@@ -194,7 +185,7 @@ def wild_local_budget(p: int, group: AbelianGroupSpec) -> LocalHomBudget:
     total = 0
     for t in tame_choices:
         for u in wild_choices:
-            image = group.span([t, u])
+            image = group.join(group.cyclic_subgroup(t), group.cyclic_subgroup(u))
             per_image[image] = per_image.get(image, 0) + 1
             if not (t == group.identity and u == group.identity):
                 total += 1
@@ -337,22 +328,28 @@ def _setup_counts(checkpoints, r_max, setups, class_primes):
 def _build_setups(group, omega, semantics):
     """Moebius terms (mu, wild weights, per-class hit/miss counts) of the lattice.
 
-    Subgroups with the same local data count the same supports, so their
-    terms are merged by adding mu; merged terms with mu = 0 are dropped.
+    At a wild prime p a local map is a pair (t, u) with ord(t) | p - 1 (2 at
+    p = 2) and ord(u) a power of p, and its image <t, u> lies in H exactly when
+    t and u do; so the term's wild weight is the product of the two counts in
+    H, less the trivial map.  Subgroups with the same local data count the
+    same supports, so their terms are merged by adding mu; merged terms with
+    mu = 0 are dropped.
     """
     lattice = subgroup_moebius(group)
     exponent = group.exponent
     wild_primes = prime_factors(group.order)
-    wild_budgets = {p: wild_local_budget(p, group) for p in wild_primes}
+    local = {g: (group.element_order(g), _hit(group, g, omega, semantics))
+             for g in group.elements() if g != group.identity}
     merged: dict = {}
     for H in lattice.subgroups:
         mu = lattice.moebius[H]
         if mu == 0:
             continue
-        wild = tuple((p, sum(cnt for img, cnt in wild_budgets[p].maps() if img <= H) - 1)
+        members = [local[g] for g in H if g != group.identity]
+        orders = [1] + [gamma for gamma, _ in members]
+        wild = tuple((p, sum(1 for o in orders if max(p - 1, 2) % o == 0)
+                      * sum(1 for o in orders if o == p ** valuation(o, p)) - 1)
                      for p in wild_primes)
-        members = [(group.element_order(g), _hit(group, g, omega, semantics))
-                   for g in H if g != group.identity]
         class_ab = []
         for c in range(1, exponent + 1):
             if math.gcd(c, exponent) != 1:
@@ -566,15 +563,7 @@ def brute_force_total(group: AbelianGroupSpec, x: int) -> int:
             budgets[p] = images
             admissible.append(p)
 
-    joins: dict = {}
-
-    def join(a, b):
-        key = (a, b)
-        found = joins.get(key)
-        if found is None:
-            found = group.span(a | b)
-            joins[key] = found
-        return found
+    join = functools.cache(group.join)
 
     total = 0
 

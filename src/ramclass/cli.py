@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -64,11 +65,16 @@ def _parse_fraction(text: str, what: str) -> Fraction:
         raise ParseError(f"bad {what} {text!r}") from exc
 
 
-def _checkpoints(text: str) -> list[int]:
+def _count(text: str, what: str) -> int:
+    """A whole number written as an int or in float notation, such as 1e4."""
     try:
-        values = [int(float(tok)) for tok in text.split(",") if tok.strip()]
+        return int(float(text))
     except (OverflowError, ValueError) as exc:
-        raise ParseError(f"bad checkpoint list {text!r}") from exc
+        raise ParseError(f"bad {what} {text!r}") from exc
+
+
+def _checkpoints(text: str) -> list[int]:
+    values = [_count(tok, "checkpoint") for tok in text.split(",") if tok.strip()]
     if not values or values != sorted(values):
         raise ParseError("checkpoints must be ascending")
     if values[0] < 1:
@@ -163,11 +169,12 @@ def cmd_quadratic(args) -> None:
 
 
 def _abelian_group_from_spec(spec: str) -> abelian_fields.AbelianGroupSpec:
-    built = permgroup.parse_group_spec(spec)
-    if isinstance(built, permgroup.DihedralStructure) or not built.is_abelian():
-        raise ParseError(f"abelian counting needs an abelian spec, got {spec!r}")
-    # regular-action spec strings are products of cyclic groups
-    factors = [int(tok[1:]) for tok in spec.strip().split("x")]
+    text = spec.strip()
+    if not re.fullmatch(r"C\d+(xC\d+)*", text):
+        raise ParseError(f"abelian counting needs a spec Cm or CmxCn..., got {spec!r}")
+    factors = [int(tok[1:]) for tok in text.split("x")]
+    if min(factors) < 2:
+        raise ParseError(f"cyclic factors must be >= 2, got {spec!r}")
     return abelian_fields.AbelianGroupSpec(factors)
 
 
@@ -199,8 +206,9 @@ def cmd_abelian(args) -> None:
     semantics = ("generator_in_omega" if args.semantics == "generator"
                  else "subgroup_meets_omega")
     r = args.r if args.r is not None else 0
+    cap = _count(args.cap, "--cap") if args.cap is not None else None
     strat = abelian_fields.count_stratified(group, omega, checkpoints, r,
-                                            semantics=semantics, cap=args.cap)
+                                            semantics=semantics, cap=cap)
     # the strata and the spill row above r partition the total
     totals = [sum(column) for column in zip(*strat)]
     aut = abelian_fields.automorphism_count(group)
@@ -349,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", type=int)
     p.add_argument("--semantics", choices=["subgroup", "generator"],
                    default="subgroup")
-    p.add_argument("--cap", type=int)
+    p.add_argument("--cap", help="largest x allowed, e.g. 1e6")
     scan_options(p)
     p.set_defaults(func=cmd_abelian)
 

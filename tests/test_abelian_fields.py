@@ -20,6 +20,7 @@ from ramclass.abelian_fields import (
     tame_local_budget,
     wild_local_budget,
 )
+from ramclass.arith import prime_factors, valuation
 from ramclass.errors import CapExceeded, EmptyRange, NotClosed, TamePrime, WildPrime
 from ramclass.permgroup import omega_set, parse_group_spec
 
@@ -84,11 +85,60 @@ def test_moebius_klein():
 
 
 def test_moebius_defining_recursion():
-    for group in [C4, V4, AbelianGroupSpec([2, 4]), AbelianGroupSpec([6])]:
+    for group in [C4, V4, AbelianGroupSpec([2, 4]), AbelianGroupSpec([6]),
+                  AbelianGroupSpec([2, 2, 2, 2]), AbelianGroupSpec([4, 4]),
+                  AbelianGroupSpec([2, 2, 4]), AbelianGroupSpec([3, 3]),
+                  AbelianGroupSpec([2, 4, 8]), AbelianGroupSpec([2, 2, 2, 2, 2])]:
         lat = subgroup_moebius(group)
         for h in lat.subgroups:
             total = sum(mu for k, mu in lat.moebius.items() if h <= k)
             assert total == (1 if h == frozenset(group.elements()) else 0)
+
+
+def invariant_factor_chains(max_order, prefix=()):
+    """Every chain d1 | d2 | ... with d1 >= 2 and product <= max_order."""
+    step = prefix[-1] if prefix else 1
+    for d in range(max(step, 2), max_order // math.prod(prefix) + 1, step):
+        yield prefix + (d,)
+        yield from invariant_factor_chains(max_order, prefix + (d,))
+
+
+def test_lattice_lists_every_subgroup():
+    # Gaussian-binomial sums: the number of subspaces of F_p^k
+    for k, count in zip(range(1, 6), [2, 5, 16, 67, 374]):
+        assert len(subgroup_moebius(AbelianGroupSpec([2] * k)).subgroups) == count
+    assert len(subgroup_moebius(AbelianGroupSpec([3, 3, 3])).subgroups) == 28
+    # a finite subset holding 0 and closed under + is a subgroup
+    for factors in SMALL_GROUPS:
+        group = AbelianGroupSpec(factors)
+        others = [g for g in group.elements() if g != group.identity]
+        closed = set()
+        for mask in range(1 << len(others)):
+            subset = {group.identity} | {g for i, g in enumerate(others) if mask >> i & 1}
+            if all(group.add(a, b) in subset for a in subset for b in subset):
+                closed.add(frozenset(subset))
+        assert set(subgroup_moebius(group).subgroups) == closed, factors
+
+
+def hillar_rhea_aut(factors):
+    """|Aut(G)| from Hillar and Rhea, Amer. Math. Monthly 114 (2007), per p-part."""
+    total = 1
+    for p in {p for d in factors for p in prime_factors(d)}:
+        e = sorted(valuation(d, p) for d in factors if d % p == 0)
+        n = len(e)
+        for k in range(1, n + 1):
+            d_k = max(l for l in range(1, n + 1) if e[l - 1] == e[k - 1])
+            c_k = min(l for l in range(1, n + 1) if e[l - 1] == e[k - 1])
+            total *= (p ** d_k - p ** (k - 1)) * p ** (e[k - 1] * (n - d_k)) \
+                * p ** ((e[k - 1] - 1) * (n - c_k + 1))
+    return total
+
+
+def test_automorphism_count_matches_hillar_rhea():
+    chains = list(invariant_factor_chains(32))
+    assert len(chains) == 54  # the abelian groups of order 2..32
+    for chain in chains:
+        assert automorphism_count(AbelianGroupSpec(chain)) == hillar_rhea_aut(chain), chain
 
 
 # -- local budgets ------------------------------------------------------------------

@@ -4,6 +4,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
+from ramclass import abelian_fields
 from ramclass.cli import main
 
 
@@ -122,6 +123,59 @@ def test_abelian_omega_table(capsys):
 def test_abelian_cap_exit_4(capsys):
     code, _, _ = run(capsys, "abelian", "C2xC4", "--checkpoints", "1e6")
     assert code == 4
+
+
+@pytest.mark.parametrize("argv", [
+    ["C128", "--checkpoints", "1e3"],
+    ["C99999999999999999999999", "--checkpoints", "1e3"],  # refused before it is factored
+    ["C2xC4", "--checkpoints", "1e3", "--cap", "0"],
+    ["C2xC4", "--checkpoints", "1e5", "--cap", "1e4"],
+])
+def test_abelian_cap_cases_exit_4(capsys, argv):
+    code, out, err = run(capsys, "abelian", *argv)
+    assert code == 4 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_abelian_cap_takes_float_notation(capsys):
+    argv = ["abelian", "C2xC4", "--checkpoints", "1e3,1e4", "--omega", "2:inf", "--r", "1"]
+    code, out, _ = run(capsys, *argv, "--cap", "1e4")
+    assert code == 0
+    assert out == run(capsys, *argv, "--cap", "10000")[1]
+
+
+# rows of the slow subgroup-lattice closure this engine replaced; the C2^5 rows
+# also follow from the closed form for elementary abelian 2-groups
+PINNED_ROWS = {
+    "C2xC2xC2xC2xC2": ["1000,3,159989760,16,1", "10000,3,3539773440,354,0.2"],
+    "C4xC4xC4": ["1000,3,19267584,224,0.666666666667",
+                 "10000,3,1407823872,16367,0.563582521263"],
+}
+
+
+@pytest.mark.parametrize("spec", list(PINNED_ROWS))
+def test_abelian_large_lattice_rows(capsys, spec):
+    code, out, _ = run(capsys, "abelian", spec, "--checkpoints", "1e3,1e4",
+                       "--omega", "2:inf", "--r", "3")
+    assert code == 0
+    assert out.strip().split("\n")[1:] == PINNED_ROWS[spec]
+
+
+def test_one_lattice_build_per_command(capsys, monkeypatch):
+    builds = []
+    inner = abelian_fields.SubgroupLattice
+
+    def counted(*args):
+        builds.append(args[0])
+        return inner(*args)
+
+    monkeypatch.setattr(abelian_fields, "SubgroupLattice", counted)
+    abelian_fields.subgroup_moebius.cache_clear()
+    for spec in ("C2xC2xC2", "C4xC4"):
+        code, _, _ = run(capsys, "abelian", spec, "--checkpoints", "1e3",
+                         "--omega", "2:inf", "--r", "1")
+        assert code == 0
+    assert [group.invariant_factors for group in builds] == [(2, 2, 2), (4, 4)]
 
 
 def test_abelian_rejects_nonabelian(capsys):
@@ -313,6 +367,13 @@ def test_bounds_out_file(tmp_path, capsys):
     ["group", "C2", "--format", "csv"],
     ["abelian", "C3"],
     ["quadratic", "nosuch", "--checkpoints", "1e3"],
+    ["abelian", "C1", "--checkpoints", "1e3"],
+    ["abelian", "C2xC1", "--checkpoints", "1e3"],
+    ["abelian", "S3", "--checkpoints", "1e3"],
+    ["abelian", "D4@S4", "--checkpoints", "1e3"],
+    ["abelian", "A4@S6", "--checkpoints", "1e3"],
+    ["abelian", "foo", "--checkpoints", "1e3"],
+    ["abelian", "C2xC4", "--checkpoints", "1e3", "--cap", "abc"],
 ])
 def test_user_errors_exit_2_with_one_line(tmp_path, capsys, argv):
     (tmp_path / "bad.csv").write_text("x,N\n1000,10\n1e4,many\n")
