@@ -7,7 +7,9 @@ ramified support multiplies to n.  Local budgets are tabulated per prime
 a map from the pro-p line), and joint surjectivity is enforced by Moebius
 inversion over the subgroup lattice.  Subgroups with the same local data are
 merged into one term, and the counter sieves the primes once and walks the
-squarefree supports once for all terms; enumerate_records and
+squarefree supports once for all terms.  Primes enter by residue class mod
+the exponent e, as sorted arrays; a wild prime p divides e, so it is the only
+prime of its class p mod e and needs no path of its own.  enumerate_records and
 brute_force_total are the slow, independent checks of that walk.  The
 lattice is listed by joining cyclic subgroups, its Moebius function comes
 from P. Hall's closed form for abelian groups, and it is built once per group.
@@ -17,10 +19,10 @@ from __future__ import annotations
 
 import functools
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product as _iproduct
+from itertools import accumulate, product as _iproduct
 
 import numpy as np
 
@@ -239,35 +241,32 @@ def _setup_counts(checkpoints, r_max, setups, class_primes):
     sums are the count with the indicator ignored.  One depth-first walk over
     squarefree supports in ascending prime order serves every term: a node
     carries one weight row per term still alive on it, starting at the term's
-    mu, and each support adds the sum over terms.  Only primes p with
-    p * p < x can be extended, so they alone make up the walk; every prime
-    that can only close a support is counted in bulk per residue class.
+    mu, and each support adds the sum over terms.  Every prime, wild ones
+    included (each is alone in its class), enters through its residue class.
+    Only primes p with p * p < x can be extended, so they alone make up the
+    walk; every prime that can only close a support is counted in bulk per
+    class, and a support has at most one prime >= sqrt(x), so none is counted
+    twice.
     """
     n_ck = len(checkpoints)
     xmax = checkpoints[-1]
     root_break = math.isqrt(xmax - 1) + 1  # the least p with p * p >= xmax
-    universe = []  # (p, per-term wild weights, None) or (p, None, per-term (hit, miss))
-    for column in zip(*(wild for _, wild, _ in setups)):
-        p, ws = column[0][0], tuple(w for _, w in column)
-        if any(ws) and p < xmax:
-            universe.append((p, ws, None))
-    class_lists = []
-    for c in sorted(set().union(*(class_ab for _, _, class_ab in setups))):
-        ab = tuple(class_ab.get(c, (0, 0)) for _, _, class_ab in setups)
-        plist = class_primes[c]
-        universe.extend((p, None, ab) for p in plist[:bisect_left(plist, root_break)])
-        class_lists.append((plist, ab))
+    universe = []  # (p, per-term (hit, miss)) for the class primes below root_break
+    class_lists = []  # (primes, largest prime, per-term (hit, miss))
+    for c in sorted(set().union(*(class_ab for _, class_ab in setups))):
+        ab = tuple(class_ab.get(c, (0, 0)) for _, class_ab in setups)
+        primes = class_primes[c]
+        if len(primes):
+            universe.extend((p, ab) for p in primes[:np.searchsorted(primes, root_break)].tolist())
+            class_lists.append((primes, int(primes[-1]), ab))
     universe.sort(key=lambda entry: entry[0])
-    wild_entries = [(idx, p, ws) for idx, (p, ws, _) in enumerate(universe) if ws]
     rows = r_max + 2
     # a hit moves a support one row up; the spill row absorbs every r > r_max
     up = list(range(1, rows)) + [rows - 1]
     bucket = [[0] * n_ck for _ in range(rows)]
 
-    def step(weights, ws, ab):
-        """The live terms' rows after one more prime: wild weights or tame (hit, miss)."""
-        if ws:
-            return [(t, [x * ws[t] for x in row]) for t, row in weights if ws[t]]
+    def step(weights, ab):
+        """The live terms' rows after one more prime of (hit, miss) counts ab."""
         out = []
         for t, row in weights:
             a, b = ab[t]
@@ -290,54 +289,48 @@ def _setup_counts(checkpoints, r_max, setups, class_primes):
             deposit(k, weights)
         i = start
         while i < len(universe):
-            p, ws, ab = universe[i]
-            if prod * p >= xmax or (ab and prod * p * p >= xmax):
+            p, ab = universe[i]
+            if prod * p * p >= xmax:
                 break
-            new = step(weights, ws, ab)
+            new = step(weights, ab)
             if new:
                 dfs(i + 1, prod * p, new)
             i += 1
         # bulk zone: no prime from v_break on can be extended further; the
         # class primes left out of the universe start at root_break
-        v_break = min(universe[i][0], root_break) if i < len(universe) else root_break
-        for idx, p, ws in wild_entries:
-            if idx >= i and prod * p < xmax:
-                k = bisect_right(checkpoints, prod * p)
-                if k < n_ck:
-                    deposit(k, step(weights, ws, None))
-        for plist, ab in class_lists:
-            prev = bisect_left(plist, v_break)
+        v_break = universe[i][0] if i < len(universe) else root_break
+        cuts = [v_break] + [(x - 1) // prod + 1 for x in checkpoints]
+        for primes, top, ab in class_lists:
+            if top < v_break:
+                continue
+            # Python ints: the mu-weighted rows may pass the int64 range
+            prev, *his = np.searchsorted(primes, cuts).tolist()
             stepped = None
-            for k in range(n_ck):
-                hi = bisect_right(plist, (checkpoints[k] - 1) // prod, lo=prev)
+            for k, hi in enumerate(his):
                 if hi > prev:
-                    stepped = stepped or step(weights, None, ab)
+                    stepped = stepped or step(weights, ab)
                     deposit(k, stepped, hi - prev)
-                prev = hi
+                    prev = hi
 
     first = [0] * (rows - 1)
-    dfs(0, 1, [(t, [mu] + first) for t, (mu, _, _) in enumerate(setups)])
-    for row in bucket:
-        acc = 0
-        for k in range(n_ck):
-            acc += row[k]
-            row[k] = acc
-    return bucket
+    dfs(0, 1, [(t, [mu] + first) for t, (mu, _) in enumerate(setups)])
+    return [list(accumulate(row)) for row in bucket]
 
 
 def _build_setups(group, omega, semantics):
-    """Moebius terms (mu, wild weights, per-class hit/miss counts) of the lattice.
+    """Moebius terms (mu, per-class hit/miss counts) of the lattice.
 
-    At a wild prime p a local map is a pair (t, u) with ord(t) | p - 1 (2 at
-    p = 2) and ord(u) a power of p, and its image <t, u> lies in H exactly when
-    t and u do; so the term's wild weight is the product of the two counts in
-    H, less the trivial map.  Subgroups with the same local data count the
-    same supports, so their terms are merged by adding mu; merged terms with
-    mu = 0 are dropped.
+    Classes are residues mod the exponent e.  A wild prime p divides e, so it
+    is the only prime of its class p mod e; its local map is a pair (t, u)
+    with ord(t) | p - 1 (2 at p = 2) and ord(u) a power of p, whose image
+    <t, u> lies in H exactly when t and u do, so the class counts no hit and
+    the product of the two counts in H, less the trivial map, as misses.
+    Subgroups with the same local data count the same supports, so their
+    terms are merged by adding mu; merged terms with mu = 0 are dropped.
     """
     lattice = subgroup_moebius(group)
     exponent = group.exponent
-    wild_primes = prime_factors(group.order)
+    wild = {p % exponent: p for p in prime_factors(exponent)}
     local = {g: (group.element_order(g), _hit(group, g, omega, semantics))
              for g in group.elements() if g != group.identity}
     merged: dict = {}
@@ -347,31 +340,31 @@ def _build_setups(group, omega, semantics):
             continue
         members = [local[g] for g in H if g != group.identity]
         orders = [1] + [gamma for gamma, _ in members]
-        wild = tuple((p, sum(1 for o in orders if max(p - 1, 2) % o == 0)
-                      * sum(1 for o in orders if o == p ** valuation(o, p)) - 1)
-                     for p in wild_primes)
         class_ab = []
-        for c in range(1, exponent + 1):
-            if math.gcd(c, exponent) != 1:
+        for c in range(exponent):
+            if c in wild:
+                p = wild[c]
+                ab = (0, sum(1 for o in orders if max(p - 1, 2) % o == 0)
+                      * sum(1 for o in orders if o == p ** valuation(o, p)) - 1)
+            elif math.gcd(c, exponent) == 1:
+                ab = (sum(1 for gamma, hit in members if (c - 1) % gamma == 0 and hit),
+                      sum(1 for gamma, hit in members if (c - 1) % gamma == 0 and not hit))
+            else:
                 continue
-            a = sum(1 for gamma, hit in members if (c - 1) % gamma == 0 and hit)
-            b = sum(1 for gamma, hit in members if (c - 1) % gamma == 0 and not hit)
-            if a + b:
-                class_ab.append((c, (a, b)))
-        key = (wild, tuple(class_ab))
+            if ab != (0, 0):
+                class_ab.append((c, ab))
+        key = tuple(class_ab)
         merged[key] = merged.get(key, 0) + mu
-    return [(mu, wild, dict(class_ab)) for (wild, class_ab), mu in merged.items() if mu]
+    return [(mu, dict(class_ab)) for class_ab, mu in merged.items() if mu]
 
 
 def _class_prime_lists(setups, exponent, xmax):
-    """Primes below xmax by the residue classes mod the exponent that the terms use.
-
-    A wild prime divides the exponent, so it lies in no class prime to it.
-    """
+    """Primes below xmax as sorted arrays, by the residue classes mod the exponent
+    that the terms use; a wild prime's class holds that prime alone."""
     primes = sieve_primes(xmax)
     residues = primes % exponent
-    used = set().union(*(class_ab for _, _, class_ab in setups))
-    return {c: primes[residues == c].tolist() for c in used}
+    used = set().union(*(class_ab for _, class_ab in setups))
+    return {c: primes[residues == c] for c in used}
 
 
 def count_stratified(group: AbelianGroupSpec, omega, checkpoints, r_max: int,
@@ -426,6 +419,8 @@ def enumerate_records(group: AbelianGroupSpec, omega, x: int,
         if budget.total_nontrivial > 0:
             budgets[p] = budget
             admissible.append(p)
+    local = {g: (group.element_order(g), _hit(group, g, omega, semantics))
+             for g in group.elements() if g != group.identity}
 
     records: list[FieldCountRecord] = []
 
@@ -435,15 +430,8 @@ def enumerate_records(group: AbelianGroupSpec, omega, x: int,
         if budget.wild:
             inside = sum(cnt for img, cnt in budget.maps() if img <= H) - 1
             return 0, inside
-        hits = misses = 0
-        for g in H:
-            if g == group.identity or (p - 1) % group.element_order(g) != 0:
-                continue
-            if _hit(group, g, omega, semantics):
-                hits += 1
-            else:
-                misses += 1
-        return hits, misses
+        hit_flags = [local[g][1] for g in H if g in local and (p - 1) % local[g][0] == 0]
+        return sum(hit_flags), len(hit_flags) - sum(hit_flags)
 
     def count_support(support):
         by_r: dict[int, int] = {}

@@ -24,7 +24,7 @@ def sieve_primes(limit: int) -> np.ndarray:
     for p in range(2, int(limit ** 0.5) + 1):
         if flags[p]:
             flags[p * p::p] = False
-    return np.flatnonzero(flags).astype(np.int64)
+    return np.flatnonzero(flags).astype(np.int64, copy=False)
 
 
 def segmented_squarefree(lo: int, hi: int) -> np.ndarray:

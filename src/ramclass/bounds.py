@@ -186,6 +186,8 @@ def rz_relative_lower_bound(profile: RamificationProfile, q: int, l: int,
     that hypothesis is not derivable from the profile.
     """
     n = profile.degree if n is None else n
+    if n < 1:
+        raise InvalidInputs(f"the relative degree must be positive, got {n}")
     count = sum(1 for rec in profile.primes if is_type(rec, q, l, profile.group))
     raw = count - 2 * (n - 1)
     return {

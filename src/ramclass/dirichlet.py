@@ -214,8 +214,8 @@ def fit_asymptotic(rows, loglog_exp=None) -> FitResult:
         raise InsufficientData("need at least 4 checkpoints")
     xs = np.array([r[0] for r in rows])
     ns = np.array([r[1] for r in rows])
-    if np.any(ns <= 0) or np.any(xs <= math.e ** math.e):
-        raise InsufficientData("need positive counts at x > e^e")
+    if not np.all(np.isfinite(xs) & np.isfinite(ns) & (ns > 0) & (xs > math.e ** math.e)):
+        raise InsufficientData("need finite positive counts at finite x > e^e")
     if xs[-1] / xs[0] < 10 ** 3:
         raise InsufficientData("checkpoints must span at least 3 decades")
     y = np.log(ns / xs)
@@ -234,8 +234,11 @@ def fit_asymptotic(rows, loglog_exp=None) -> FitResult:
             raise InsufficientData("degenerate design matrix")
         sol, *_ = np.linalg.lstsq(design, y - b * v, rcond=None)
         a, c = sol
-    fitted = xs * np.exp(c) * np.log(xs) ** a * np.log(np.log(xs)) ** b
-    max_rel = float(np.max(np.abs(fitted - ns) / ns))
+    with np.errstate(over="ignore", invalid="ignore"):
+        fitted = xs * np.exp(c) * np.log(xs) ** a * np.log(np.log(xs)) ** b
+        max_rel = float(np.max(np.abs(fitted - ns) / ns))
+    if not math.isfinite(max_rel):
+        raise InsufficientData("the fitted shape overflows at the checkpoints")
     return FitResult(float(a), float(b), float(math.exp(c)), max_rel)
 
 

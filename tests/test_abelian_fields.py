@@ -385,6 +385,29 @@ def test_merged_terms_match_records(factors, semantics):
         assert single == [[want(r, x)] for r in range(r_max + 2)], x
 
 
+# groups with a wild prime other than 2, so for x up to 60 each wild prime
+# is walked (p * p < x) at some tops and only closes supports at others
+WILD_CASES = [(factors, semantics) for factors in [(6,), (10,), (30,), (2, 6)]
+              for semantics in ("subgroup_meets_omega", "generator_in_omega")]
+
+
+@pytest.mark.parametrize("factors, semantics", WILD_CASES,
+                         ids=[f"{'x'.join(f'C{d}' for d in f)}-{s[:3]}" for f, s in WILD_CASES])
+def test_wild_primes_at_and_above_root(factors, semantics):
+    group = AbelianGroupSpec(factors)
+    r_max = 2
+    tops = range(1, 61)
+    for q in prime_factors(group.order):
+        omega = group.omega_subset(q, math.inf)
+        recs = enumerate_records(group, omega, tops[-1], semantics=semantics)
+        setups = abelian_fields._build_setups(group, omega, semantics)
+        class_primes = abelian_fields._class_prime_lists(setups, group.exponent, tops[-1])
+        for x in tops:
+            want = [[sum(rec.count for rec in recs if min(rec.r, r_max + 1) == r and rec.n < x)]
+                    for r in range(r_max + 2)]
+            assert abelian_fields._setup_counts([x], r_max, setups, class_primes) == want, (q, x)
+
+
 def test_one_sieve_and_one_walk_per_count(monkeypatch):
     calls = {"sieve_primes": 0, "_setup_counts": 0}
     for name in calls:

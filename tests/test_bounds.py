@@ -184,6 +184,14 @@ def test_rz_relative_synthetic_c4():
     assert report["lower_bound"] == 0
 
 
+def test_rz_relative_needs_positive_degree():
+    profile = cubic_profile([7, 13, 19])
+    assert rz_relative_lower_bound(profile, 3, 1, n=1)["lower_bound_raw"] == 3
+    for n in (0, -5):
+        with pytest.raises(InvalidInputs):
+            rz_relative_lower_bound(profile, 3, 1, n=n)
+
+
 # -- D4 bounds ---------------------------------------------------------------------
 
 

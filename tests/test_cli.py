@@ -374,6 +374,8 @@ def test_bounds_out_file(tmp_path, capsys):
     ["abelian", "A4@S6", "--checkpoints", "1e3"],
     ["abelian", "foo", "--checkpoints", "1e3"],
     ["abelian", "C2xC4", "--checkpoints", "1e3", "--cap", "abc"],
+    ["bounds", "{tmp}/good.profile", "--q", "3", "--relative", "0"],
+    ["bounds", "{tmp}/good.profile", "--q", "3", "--relative", "-5"],
 ])
 def test_user_errors_exit_2_with_one_line(tmp_path, capsys, argv):
     (tmp_path / "bad.csv").write_text("x,N\n1000,10\n1e4,many\n")

@@ -202,6 +202,19 @@ def test_fit_insufficient():
         fit_asymptotic([(10 ** 3, 0.0), (10 ** 4, 1.0), (10 ** 5, 2.0), (10 ** 6, 3.0)])
 
 
+def test_fit_rejects_non_finite_rows_and_overflowing_shapes():
+    rows = [(10.0 ** k, 10.0 ** k / k) for k in range(3, 8)]
+    for bad in ((math.nan, 5.0), (math.inf, 5.0), (10.0 ** 4, math.inf), (10.0 ** 4, math.nan)):
+        with pytest.raises(InsufficientData):
+            fit_asymptotic(rows + [bad])
+    # four points off any power law: the free fit's exponents run to about -269
+    # and 739, and the fitted shape overflows a float at the checkpoints
+    wild = [(1e6, 408248.29046386306), (1e7, 3779644.730092272), (1e8, 35355339.05932737),
+            (1e9, 12345679.01234568)]
+    with pytest.raises(InsufficientData):
+        fit_asymptotic(wild)
+
+
 # -- summatory oracle ---------------------------------------------------------------------
 
 
