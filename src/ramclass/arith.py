@@ -2,10 +2,10 @@
 
 This module holds the one implementation of each sieve and factoriser in the
 package: the prime sieve, the squarefree sieve, the omega sieve, trial
-division and the invariant-factor form of a product of cyclic groups.  The
-engines import them from here.  The independent oracles that test them
-(``dirichlet.segmented_primes``, ``quadratic.reduced_forms``, ...) stay with
-their engines on purpose.
+division, the Miller-Rabin primality test and the invariant-factor form of a
+product of cyclic groups.  The engines import them from here.  The
+independent oracles that test them (``dirichlet.segmented_primes``,
+``quadratic.reduced_forms``, ...) stay with their engines on purpose.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from .errors import CapExceeded
 
 
 def sieve_primes(limit: int) -> np.ndarray:
@@ -107,7 +109,33 @@ def euler_phi(m: int) -> int:
 
 
 def is_prime(q: int) -> bool:
-    return q >= 2 and prime_factors(q) == [q]
+    """Deterministic Miller-Rabin over the prime bases 2 ... 41.
+
+    Those bases admit no strong pseudoprime below 3 317 044 064 679 887 385
+    961 981 (Sorenson and Webster, 2015), so the answer is exact below it;
+    above it CapExceeded is raised.
+    """
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if q < 2:
+        return False
+    if q >= 3_317_044_064_679_887_385_961_981:
+        raise CapExceeded(f"q = {q} is beyond the exact Miller-Rabin range")
+    if any(q % p == 0 for p in bases):
+        return q in bases
+    d, s = q - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in bases:
+        x = pow(a, d, q)
+        if x == 1 or x == q - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % q
+            if x == q - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def is_squarefree(n: int) -> bool:

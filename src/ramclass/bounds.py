@@ -116,8 +116,10 @@ def e_K(rec: RamifiedPrimeRecord, group: PermGroup | None = None) -> int:
 
 def is_type(rec: RamifiedPrimeRecord, q: int, l: int,
             group: PermGroup | None = None) -> bool:
-    """True iff q^l divides e_K(p)."""
-    return e_K(rec, group) % q ** l == 0
+    """True iff q^l divides e_K(p); q must be at least 2."""
+    if q < 2:
+        raise InvalidInputs(f"q must be at least 2, got {q}")
+    return valuation(e_K(rec, group), q) >= l
 
 
 def genus_data(profile: RamificationProfile) -> GenusData:

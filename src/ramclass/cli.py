@@ -141,6 +141,10 @@ def cmd_group(args) -> None:
 
 # -- quadratic ----------------------------------------------------------------------
 
+# largest x for `quadratic fields`: it lists every reduced form of every
+# discriminant, so its time grows as x^2 (radical order to 5e4: about 65 s)
+FIELDS_CAP = 5 * 10 ** 4
+
 
 def cmd_quadratic(args) -> None:
     checkpoints = _checkpoints(args.checkpoints)
@@ -156,6 +160,8 @@ def cmd_quadratic(args) -> None:
         table = [(x, n, f"{p:.12g}") for x, n, p in rows]
         _emit_table("x,N,P_hat", table, args)
     else:  # fields
+        if checkpoints[-1] > FIELDS_CAP:
+            raise CapExceeded(f"x = {checkpoints[-1]} exceeds the fields cap {FIELDS_CAP}")
         bound_kind = "radical" if args.order == "radical" else "abs_disc"
         rows = []
         for D in quadratic.enumerate_discriminants(bound_kind, checkpoints[-1]):

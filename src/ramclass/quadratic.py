@@ -1,10 +1,12 @@
 """Imaginary quadratic fields through binary quadratic forms.
 
 Class numbers come from exhaustive reduced-form enumeration and 2-ranks from
-counting ambiguous reduced forms (b = 0, a = b, or a = c), so the genus
-inequality omega - 1 <= rk2 <= omega is tested against two independent
-computations.  One array function lists the fundamental discriminants of a
-|D| range with their radicals; enumeration, radical counts and scans read it.
+counting ambiguous reduced forms of discriminant -n in two disjoint families,
+(a, 0, c) with n = 4ac and the factorisations n = uv with u < v and
+u + v = 0 mod 4, so the genus inequality omega - 1 <= rk2 <= omega is tested
+against two independent computations.  One array function lists the
+fundamental discriminants of a |D| range with their radicals; enumeration,
+radical counts and scans read it.
 Scans over the family ordered by product of ramified primes (or by |D|) walk
 |D| in fixed segments of SEGMENT values, so their memory is bounded by the
 segment size, not by x.  --jobs only spreads the same segments over worker
@@ -75,35 +77,22 @@ def ambiguous_reduced_forms(D: int) -> list[tuple[int, int, int]]:
 
 
 def ambiguous_count(D: int) -> int:
-    """Count ambiguous reduced forms of D < 0 by divisor sweep (no enumeration).
+    """Count ambiguous reduced forms of D < 0 by divisor test (no enumeration).
 
-    Shapes: (a,0,c) with 4ac = |D|; (a,a,c) with a(4c-a) = |D|; (a,b,a) with
-    (2a-b)(2a+b) = |D|.  For fundamental D the shapes only overlap at
-    D = -4 ((1,0,1)) and D = -3 ((1,1,1)).
+    With n = -D they fall into two disjoint families.  Family 1 is (a, 0, c)
+    with n = 4ac and a <= c.  Family 2 is every factorisation n = uv with
+    u < v and u + v = 0 mod 4: v >= 3u gives (a, a, c) with a = u and
+    c = (u + v)/4, and v < 3u gives (a, b, a) with a = (u + v)/4 and
+    b = (v - u)/2.  v = 3u is (a, a, a), counted once; u = v would be
+    (a, 0, a), which already sits in family 1.
     """
     n = -D
     count = 0
     if n % 4 == 0:
         k = n // 4
-        a = 1
-        while a * a <= k:
-            if k % a == 0:
-                count += 1
-            a += 1
-    a = 1
-    while 3 * a * a <= n:
-        if n % a == 0 and (n // a + a) % 4 == 0:
-            count += 1
-        a += 1
-    u = 1
-    while u * u <= n:
-        if n % u == 0:
-            v = n // u
-            if v <= 3 * u and (u + v) % 4 == 0:
-                count += 1
-        u += 1
-    if n in (3, 4):
-        count -= 1
+        count += sum(1 for a in range(1, math.isqrt(k) + 1) if k % a == 0)
+    count += sum(1 for u in range(1, math.isqrt(max(n - 1, 0)) + 1)
+                 if n % u == 0 and (u + n // u) % 4 == 0)
     return count
 
 
@@ -190,44 +179,25 @@ def radical_counts_both_signs(x: int) -> np.ndarray:
 # -- segmented batch machinery ---------------------------------------------------
 
 # |D| values per scan segment.  It bounds the scan's memory; each segment also
-# repeats the O(sqrt(hi)) loops of segmented_ambiguous, so smaller is slower.
+# repeats the O(sqrt(hi)) strides of segmented_ambiguous, so smaller is slower.
 SEGMENT = 1 << 21
 
 
-def _bump(arr: np.ndarray, lo: int, hi: int, start: int, step: int,
-          last: int | None = None) -> None:
-    """arr[n - lo] += 1 for n = start, start+step, ... below hi (and <= last)."""
-    stop = hi if last is None else min(hi, last + 1)
-    if start < lo:
-        start += step * ((lo - start + step - 1) // step)
-    if start >= stop:
-        return
-    arr[start - lo:stop - lo:step] += 1
-
-
 def segmented_ambiguous(lo: int, hi: int) -> np.ndarray:
-    """Ambiguous reduced-form counts for discriminants -n, n in [lo, hi)."""
+    """Ambiguous reduced-form counts for discriminants -n, n in [lo, hi).
+
+    The two families of ambiguous_count as arithmetic progressions in n:
+    family 1 is n = 4a * c for c >= a, family 2 is n = u * v for v > u with
+    v = -u mod 4, so the least v is u + 2 for odd u and u + 4 for even u.
+    """
     counts = np.zeros(hi - lo, dtype=np.int16)
-    # (a, 0, c): n = 4ac, c >= a
-    a = 1
-    while 4 * a * a < hi:
-        _bump(counts, lo, hi, 4 * a * a, 4 * a)
-        a += 1
-    # (a, a, c): n = 4ac - a^2, c >= a
-    a = 1
-    while 3 * a * a < hi:
-        _bump(counts, lo, hi, 3 * a * a, 4 * a)
-        a += 1
-    # (a, b, a): n = (2a - b)(2a + b) = uv with u <= v <= 3u, u + v = 0 mod 4;
-    # n <= 3u^2, so the first u to reach the segment is the least with 3u^2 >= lo
-    u = math.isqrt(max(lo - 1, 0) // 3) + 1
-    while u * u < hi:
-        v0 = u + ((-2 * u) % 4)
-        _bump(counts, lo, hi, u * v0, 4 * u, last=3 * u * u)
-        u += 1
-    for special in (3, 4):  # (1,0,1) and (1,1,1) are double-counted
-        if lo <= special < hi:
-            counts[special - lo] -= 1
+    strides = [(4 * a * a, 4 * a) for a in range(1, math.isqrt(max(hi - 1, 0) // 4) + 1)]
+    strides += [(u * (u + 4 - 2 * (u % 2)), 4 * u)
+                for u in range(1, math.isqrt(max(hi - 1, 0)) + 1)]
+    for start, step in strides:
+        if start < lo:
+            start += step * -((start - lo) // step)
+        counts[start - lo::step] += 1
     return counts
 
 

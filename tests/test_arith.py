@@ -1,10 +1,12 @@
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramclass.arith import (
     invariant_factors,
+    is_prime,
     omega_sieve,
     prime_factors,
     segmented_squarefree,
@@ -12,6 +14,7 @@ from ramclass.arith import (
     valuation,
 )
 from ramclass.dirichlet import segmented_primes
+from ramclass.errors import CapExceeded
 
 
 def _squarefree_slow(n):
@@ -70,3 +73,22 @@ def test_invariant_factors_chain(orders):
         for k in range(1, max(valuation(m, p) for m in orders) + 1):
             assert (sum(1 for d in factors if d % p ** k == 0)
                     == sum(1 for m in orders if m % p ** k == 0)), (p, k)
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(10 ** 5) if is_prime(n)] == \
+        [n for n in range(10 ** 5) if prime_factors(n) == [n]]
+
+
+@pytest.mark.parametrize("n", [2047, 1373653, 25326001, 3215031751, 2152302898747,
+                               3474749660383, 341550071728321, 3825123056546413051,
+                               318665857834031151167461])
+def test_is_prime_rejects_strong_pseudoprimes(n):
+    assert not is_prime(n)
+
+
+def test_is_prime_large():
+    assert is_prime(100000000000031) and is_prime(1000000000000037)
+    assert not is_prime(100000000000031 * 1000003)
+    with pytest.raises(CapExceeded):
+        is_prime(3317044064679887385961981)

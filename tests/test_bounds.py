@@ -56,6 +56,12 @@ def test_is_type_examples():
     assert is_type(rec(7, exps=(4,)), 2, 2)
 
 
+def test_is_type_needs_q_at_least_2():
+    for q in (1, 0, -3):
+        with pytest.raises(InvalidInputs):
+            is_type(rec(7, exps=(3,)), q, 1)
+
+
 def test_record_validation():
     with pytest.raises(ValueError):
         RamifiedPrimeRecord(5)

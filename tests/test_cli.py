@@ -4,7 +4,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from ramclass import abelian_fields
+from ramclass import abelian_fields, cli
 from ramclass.cli import main
 
 
@@ -218,6 +218,13 @@ def test_quadratic_fields_cap_exit_4(capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+def test_quadratic_fields_time_cap_exit_4(capsys):
+    x = str(cli.FIELDS_CAP + 1)
+    code, out, err = run(capsys, "quadratic", "fields", "--checkpoints", x)
+    assert code == 4 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 # -- asymptotic ---------------------------------------------------------------
 
 
@@ -341,6 +348,22 @@ def test_bounds_out_file(tmp_path, capsys):
     assert code == 0 and out == ""
     report = json.loads(dst.read_text())
     assert report["rz"]["type_count"] == 7
+
+
+def test_bounds_large_l_counts_no_type(tmp_path, capsys):
+    path = tmp_path / "cubic.profile"
+    path.write_text(CUBIC_PROFILE)
+    code, out, _ = run(capsys, "bounds", str(path), "--q", "3", "--l", "10000000")
+    assert code == 0
+    assert json.loads(out)["rz"]["type_count"] == 0
+
+
+def test_bounds_q_beyond_primality_range_exit_4(tmp_path, capsys):
+    path = tmp_path / "cubic.profile"
+    path.write_text(CUBIC_PROFILE)
+    code, out, err = run(capsys, "bounds", str(path), "--q", "3317044064679887385961981")
+    assert code == 4 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
 # -- user errors -------------------------------------------------------------------

@@ -123,6 +123,16 @@ def test_segmented_ambiguous_matches_divisor_sweep_on_segments(lo, half_width):
     assert [int(c) for c in seg] == [ambiguous_count(-n) for n in range(lo, hi)]
 
 
+def test_ambiguous_counts_exact_for_every_n():
+    # every n, not only fundamental |D|: b = 0, a = b and a = c share forms at n = 12, 16, 27, ...
+    N = 3000
+    seg = segmented_ambiguous(0, N)
+    assert int(seg[0]) == ambiguous_count(0) == 0
+    for n in range(1, N):
+        want = len(ambiguous_reduced_forms(-n))
+        assert int(seg[n]) == ambiguous_count(-n) == want, n
+
+
 def test_segmented_squarefree():
     flags = segmented_squarefree(0, 200)
     for n in range(1, 200):
