@@ -490,15 +490,8 @@ def automorphism_count(group: AbelianGroupSpec) -> int:
 
 def count_fields_exact(group: AbelianGroupSpec, omega, r: int, x: int,
                        semantics: str = "subgroup_meets_omega",
-                       cap: int | None = None, records: bool = False):
-    """N(S(G), P; (Omega, r); x): exact pair count below x.
-
-    With ``records=True``, returns the per-radical FieldCountRecord list
-    restricted to the requested r instead of the aggregate.
-    """
-    if records:
-        recs = enumerate_records(group, omega, x, semantics, cap)
-        return [rec for rec in recs if rec.r == r]
+                       cap: int | None = None) -> int:
+    """N(S(G), P; (Omega, r); x): exact pair count below x."""
     return count_stratified(group, omega, [x], r, semantics, cap)[r][0]
 
 

@@ -97,10 +97,9 @@ class RZInputs:
 
 @dataclass(frozen=True)
 class GenusData:
-    """Invariant factors of the tame genus product and the rank bounds found."""
+    """Invariant factors of the tame genus product."""
 
     abelian_part: tuple[int, ...]
-    rank_bound: dict
 
 
 def e_K(rec: RamifiedPrimeRecord, group: PermGroup | None = None) -> int:
@@ -131,7 +130,7 @@ def genus_data(profile: RamificationProfile) -> GenusData:
             g = math.gcd(rec.p - 1, e)
             if g > 1:
                 factors.append(g)
-    return GenusData(invariant_factors(factors), {})
+    return GenusData(invariant_factors(factors))
 
 
 def _abelian_rank(profile: RamificationProfile, q: int) -> int:
@@ -151,8 +150,7 @@ def genus_rank_lower_bound(profile: RamificationProfile, q: int, l: int = 1):
     count = sum(1 for rec in profile.primes
                 if is_type(rec, q, l, profile.group) and rec.p % q == 1)
     raw = count - rank
-    data = genus_data(profile)
-    return raw, max(raw, 0), GenusData(data.abelian_part, {(q, l): raw})
+    return raw, max(raw, 0), genus_data(profile)
 
 
 def rz_lower_bound(profile: RamificationProfile, q: int, l: int = 1,

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import re
 import sys
 from fractions import Fraction
 
@@ -175,12 +174,9 @@ def cmd_quadratic(args) -> None:
 
 
 def _abelian_group_from_spec(spec: str) -> abelian_fields.AbelianGroupSpec:
-    text = spec.strip()
-    if not re.fullmatch(r"C\d+(xC\d+)*", text):
+    factors = permgroup.cyclic_factors(spec.strip())
+    if factors is None:
         raise ParseError(f"abelian counting needs a spec Cm or CmxCn..., got {spec!r}")
-    factors = [int(tok[1:]) for tok in text.split("x")]
-    if min(factors) < 2:
-        raise ParseError(f"cyclic factors must be >= 2, got {spec!r}")
     return abelian_fields.AbelianGroupSpec(factors)
 
 

@@ -115,36 +115,28 @@ class Permutation:
             k >>= 1
         return result
 
-    def cycle_lengths(self) -> list[int]:
-        """Sizes of all <g>-orbits on the points, fixed points included."""
-        seen = [False] * self.degree
-        sizes = []
-        for start in range(1, self.degree + 1):
-            if seen[start - 1]:
-                continue
-            size, pt = 0, start
-            while not seen[pt - 1]:
-                seen[pt - 1] = True
-                size += 1
-                pt = self.images[pt - 1]
-            sizes.append(size)
-        return sizes
-
-    def cycles(self) -> list[tuple[int, ...]]:
-        """Nontrivial cycles, each starting at its least point."""
+    def orbits(self) -> list[tuple[int, ...]]:
+        """Every <g>-orbit on the points, fixed points included, each from its least point."""
         seen = [False] * self.degree
         out = []
         for start in range(1, self.degree + 1):
             if seen[start - 1]:
                 continue
-            cyc, pt = [], start
+            orbit, pt = [], start
             while not seen[pt - 1]:
                 seen[pt - 1] = True
-                cyc.append(pt)
+                orbit.append(pt)
                 pt = self.images[pt - 1]
-            if len(cyc) > 1:
-                out.append(tuple(cyc))
+            out.append(tuple(orbit))
         return out
+
+    def cycle_lengths(self) -> list[int]:
+        """Sizes of all <g>-orbits on the points, fixed points included."""
+        return [len(orbit) for orbit in self.orbits()]
+
+    def cycles(self) -> list[tuple[int, ...]]:
+        """Nontrivial cycles, each starting at its least point."""
+        return [orbit for orbit in self.orbits() if len(orbit) > 1]
 
     def order(self) -> int:
         return math.lcm(*self.cycle_lengths())
@@ -174,7 +166,7 @@ def orbit_gcd(g: Permutation) -> int:
 
 
 class PermGroup:
-    """A finite transitive permutation group with precomputed invariants."""
+    """A finite transitive permutation group with each element's order and e(g) precomputed."""
 
     def __init__(self, elements, generators, degree: int):
         elements = tuple(sorted(elements))
@@ -182,8 +174,11 @@ class PermGroup:
         self.elements = elements
         self.generators = tuple(generators)
         self._members = frozenset(elements)
-        self.element_order = {g: g.order() for g in elements}
-        self.conjugacy_class = self._conjugacy_classes()
+        self.element_order, self.orbit_gcd = {}, {}
+        for g in elements:
+            sizes = g.cycle_lengths()
+            self.element_order[g] = math.lcm(*sizes)
+            self.orbit_gcd[g] = math.gcd(*sizes)
 
     @classmethod
     def generate(cls, generators, degree: int | None = None,
@@ -213,46 +208,25 @@ class PermGroup:
             frontier = new
         group = cls(seen, generators, degree)
         if not group.is_transitive():
-            raise NonTransitive(f"orbit of 1 has size {len(group._point_orbit(1))}, degree {degree}")
+            raise NonTransitive(f"orbit of 1 has size {len(group._orbit(1, Permutation.apply))}, "
+                                f"degree {degree}")
         return group
 
-    def _point_orbit(self, point: int) -> set[int]:
-        orbit = {point}
-        frontier = [point]
+    def _orbit(self, start, act) -> set:
+        """Orbit of start under the generators s, each acting as x -> act(s, x)."""
+        orbit = {start}
+        frontier = [start]
         while frontier:
-            pt = frontier.pop()
+            x = frontier.pop()
             for s in self.generators:
-                q = s.apply(pt)
-                if q not in orbit:
-                    orbit.add(q)
-                    frontier.append(q)
+                y = act(s, x)
+                if y not in orbit:
+                    orbit.add(y)
+                    frontier.append(y)
         return orbit
 
     def is_transitive(self) -> bool:
-        return len(self._point_orbit(1)) == self.degree
-
-    def _conjugacy_classes(self) -> dict[Permutation, int]:
-        # Conjugation by generators suffices to sweep out a full class.
-        gens = self.generators or self.elements[:1]
-        gen_invs = [s.inverse() for s in gens]
-        assignment: dict[Permutation, int] = {}
-        class_id = 0
-        for g in self.elements:
-            if g in assignment:
-                continue
-            orbit = {g}
-            frontier = [g]
-            while frontier:
-                h = frontier.pop()
-                for s, sinv in zip(gens, gen_invs):
-                    c = s * h * sinv
-                    if c not in orbit:
-                        orbit.add(c)
-                        frontier.append(c)
-            for h in orbit:
-                assignment[h] = class_id
-            class_id += 1
-        return assignment
+        return len(self._orbit(1, Permutation.apply)) == self.degree
 
     @property
     def order(self) -> int:
@@ -273,8 +247,8 @@ class PermGroup:
         return all(a * b == b * a for a in gens for b in gens)
 
     def class_size(self, g: Permutation) -> int:
-        cid = self.conjugacy_class[g]
-        return sum(1 for h in self.elements if self.conjugacy_class[h] == cid)
+        """Size of g's conjugacy class: its orbit under conjugation by the generators."""
+        return len(self._orbit(g, lambda s, h: s * h * s.inverse()))
 
     def q_rank(self) -> dict[int, int]:
         """q-rank of an abelian group for every prime q dividing its order."""
@@ -302,7 +276,7 @@ def omega_set(group: PermGroup, q: int, l) -> frozenset[Permutation]:
         raise ValueError(f"l must be a positive integer or inf, got {l!r}")
     members = []
     for g in group.elements:
-        v = valuation(orbit_gcd(g), q)
+        v = valuation(group.orbit_gcd[g], q)
         if (v >= 1) if l is math.inf else (v == l):
             members.append(g)
     omega = frozenset(members)
@@ -316,7 +290,7 @@ def non_random_primes(group: PermGroup) -> set[int]:
     """Primes q with q | e(sigma) for some element sigma."""
     primes: set[int] = set()
     for g in group.elements:
-        primes.update(prime_factors(orbit_gcd(g)))
+        primes.update(prime_factors(group.orbit_gcd[g]))
     assert all(group.order % q == 0 for q in primes)
     return primes
 
@@ -343,19 +317,24 @@ def closed_under_conjugation(group: PermGroup, omega) -> bool:
     return all(s * g * s.inverse() in omega for g in omega for s in group.generators)
 
 
+def _weighted_beta(group: PermGroup, omega, weight) -> int:
+    """Sum of weight(h)/phi(ord(h)) over non-identity h in omega; NotClosed unless integral."""
+    total = Fraction(0)
+    for h in omega:
+        if not h.is_identity():
+            total += Fraction(weight(h), euler_phi(group.element_order[h]))
+    if total.denominator != 1:
+        raise NotClosed(f"weight sum {total} is not an integer")
+    return int(total)
+
+
 def beta(group: PermGroup, omega) -> int:
     """Sum of 1/phi(ord(h)) over non-identity h in omega (an integer when closed)."""
     if not group.is_abelian():
         raise NotAbelian("beta is defined for abelian groups")
     if not closed_under_invertible_powering(group, omega):
         raise NotClosed("omega is not closed under invertible powering")
-    total = Fraction(0)
-    for h in omega:
-        if not h.is_identity():
-            total += Fraction(1, euler_phi(group.element_order[h]))
-    if total.denominator != 1:
-        raise NotClosed(f"weight sum {total} is not an integer")
-    return int(total)
+    return _weighted_beta(group, omega, lambda h: 1)
 
 
 class DihedralStructure:
@@ -410,13 +389,7 @@ def beta_F(structure: DihedralStructure, omega) -> int:
         raise NotClosed("omega is not closed under invertible powering")
     if not closed_under_conjugation(group, omega):
         raise NotClosed("omega is not closed under conjugation")
-    total = Fraction(0)
-    for h in omega:
-        if not h.is_identity():
-            total += Fraction(group.class_size(h), euler_phi(group.element_order[h]))
-    if total.denominator != 1:
-        raise NotClosed(f"weight sum {total} is not an integer")
-    return int(total)
+    return _weighted_beta(group, omega, group.class_size)
 
 
 def h_p(structure: DihedralStructure, p: int, subset) -> int:
@@ -438,9 +411,19 @@ def h_p(structure: DihedralStructure, p: int, subset) -> int:
 
 # -- spec-string construction -------------------------------------------------
 
-_PRODUCT_RE = re.compile(r"^C(\d+)(?:xC(\d+))*$")
+_PRODUCT_RE = re.compile(r"C\d+(?:xC\d+)*")
 _SYM_RE = re.compile(r"^S(\d+)$")
 _DIH_RE = re.compile(r"^D(\d+)@(S(\d+)|reg)$")
+
+
+def cyclic_factors(text: str) -> list[int] | None:
+    """The factors m, n, ... of a spec ``Cm`` or ``CmxCn...``; None for any other spec."""
+    if not _PRODUCT_RE.fullmatch(text):
+        return None
+    factors = [int(part[1:]) for part in text.split("x")]
+    if any(f < 2 for f in factors):
+        raise UnknownSpec(f"cyclic factors must be >= 2: {text!r}")
+    return factors
 
 
 def _regular_abelian(factors: list[int], cap: int) -> PermGroup:
@@ -506,11 +489,8 @@ def parse_group_spec(text: str, cap: int = DEFAULT_CLOSURE_CAP):
         a = Permutation.from_cycles([[3, 6], [4, 5]], 6)
         b = Permutation.from_cycles([[1, 3, 4], [2, 6, 5]], 6)
         return PermGroup.generate([a, b], degree=6, cap=cap)
-    m = _PRODUCT_RE.match(text)
-    if m:
-        factors = [int(part[1:]) for part in text.split("x")]
-        if any(f < 2 for f in factors):
-            raise UnknownSpec(f"cyclic factors must be >= 2: {text!r}")
+    factors = cyclic_factors(text)
+    if factors is not None:
         return _regular_abelian(factors, cap)
     m = _SYM_RE.match(text)
     if m:

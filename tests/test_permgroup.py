@@ -22,6 +22,7 @@ from ramclass.permgroup import (
     beta_F,
     closed_under_conjugation,
     closed_under_invertible_powering,
+    cyclic_factors,
     euler_phi,
     h_p,
     non_random_primes,
@@ -301,3 +302,33 @@ def test_cyclic_regular_action(m):
 
 def test_phi():
     assert [euler_phi(m) for m in [1, 2, 3, 4, 6, 12]] == [1, 1, 2, 2, 2, 4]
+
+
+@pytest.mark.parametrize("spec", ["S4", "D4@S4", "D5@reg", "D6@S6", "A4@S6", "C2xC4"])
+def test_class_sizes_and_element_invariants(spec):
+    group = corpus_group(spec)
+    classes = {}
+    for g in group:
+        brute = frozenset(x * g * x.inverse() for x in group)
+        assert group.class_size(g) == len(brute)
+        classes[min(brute)] = g
+        assert group.orbit_gcd[g] == orbit_gcd(g)
+        assert group.element_order[g] == g.order()
+    assert sum(group.class_size(g) for g in classes.values()) == group.order
+
+
+def test_orbits_cover_every_point():
+    g = cyc("(2 5)(3 6 4)", 7)
+    assert g.orbits() == [(1,), (2, 5), (3, 6, 4), (7,)]
+    assert g.cycle_lengths() == [1, 2, 3, 1]
+    assert g.cycles() == [(2, 5), (3, 6, 4)]
+
+
+def test_cyclic_factors():
+    assert cyclic_factors("C6") == [6]
+    assert cyclic_factors("C2xC4xC8") == [2, 4, 8]
+    for spec in ("S3", "D4@S4", "A4@S6", "C2x", "xC2", "foo"):
+        assert cyclic_factors(spec) is None
+    for spec in ("C1", "C2xC1", "C0"):
+        with pytest.raises(UnknownSpec):
+            cyclic_factors(spec)
