@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import os
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
@@ -358,6 +359,11 @@ def _build_setups(group, omega, semantics):
     return [(mu, dict(class_ab)) for class_ab, mu in merged.items() if mu]
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _class_prime_lists(setups, exponent, xmax):
     """Primes below xmax as sorted arrays, by the residue classes mod the exponent
     that the terms use; a wild prime's class holds that prime alone."""
@@ -390,6 +396,12 @@ def count_stratified(group: AbelianGroupSpec, omega, checkpoints, r_max: int,
     limit = cap if cap is not None else default_cap(group)
     if xmax > limit:
         raise CapExceeded(f"x = {xmax} exceeds cap {limit}")
+    # the prime sieve holds a flag byte per n and an int64 per prime, and
+    # pi(x) < 1.26 x / log x (Rosser and Schoenfeld)
+    need, have = xmax + int(8 * 1.26 * xmax / math.log(max(xmax, 3))), _physical_memory()
+    if need > have:
+        raise CapExceeded(f"x = {xmax} needs a {need / 2 ** 30:.1f} GiB prime sieve, "
+                          f"more than the {have / 2 ** 30:.1f} GiB of physical memory")
 
     setups = _build_setups(group, omega, semantics)
     class_primes = _class_prime_lists(setups, group.exponent, xmax)

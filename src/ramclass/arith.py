@@ -1,11 +1,11 @@
 """Number-theory primitives shared by every engine.
 
 This module holds the one implementation of each sieve and factoriser in the
-package: the prime sieve, the squarefree sieve, the omega sieve, trial
-division, the Miller-Rabin primality test and the invariant-factor form of a
-product of cyclic groups.  The engines import them from here.  The
-independent oracles that test them (``dirichlet.segmented_primes``,
-``quadratic.reduced_forms``, ...) stay with their engines on purpose.
+package: the prime sieve, the one strided-count loop behind the squarefree,
+omega and ambiguous-form sieves, trial division, Miller-Rabin and invariant
+factors.  The engines import them from here.  The independent oracles that
+test them (``dirichlet.segmented_primes``, ``quadratic.reduced_forms``, ...)
+stay with their engines on purpose.
 """
 
 from __future__ import annotations
@@ -29,32 +29,48 @@ def sieve_primes(limit: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64, copy=False)
 
 
-def segmented_squarefree(lo: int, hi: int) -> np.ndarray:
-    """Squarefree flags for n in [lo, hi); 0 is not squarefree."""
-    flags = np.ones(hi - lo, dtype=bool)
+def progression_counts(lo: int, hi: int, progressions, dtype=np.int8) -> np.ndarray:
+    """For every n in [lo, hi), how many progressions start, start + step, ... hit n.
+
+    The package's one strided-add loop.  A start below lo moves up into the
+    window; dtype must hold the largest count.
+    """
+    counts = np.zeros(max(hi - lo, 0), dtype=dtype)
+    for start, step in progressions:
+        if start < lo:
+            start += step * -((start - lo) // step)
+        counts[start - lo::step] += 1
+    return counts
+
+
+def odd_squarefree(lo: int, hi: int) -> np.ndarray:
+    """Flags for n in [lo, hi) that no odd prime square divides; 0 is excluded."""
+    odd = sieve_primes(math.isqrt(max(hi - 1, 0)) + 1)[1:].tolist()
+    flags = progression_counts(lo, hi, [(p * p, p * p) for p in odd])
+    flags = np.logical_not(flags, out=flags.view(bool))  # in place: one byte per n
     if lo == 0 < hi:
         flags[0] = False
-    d = 2
-    while d * d < hi:
-        sq = d * d
-        start = sq * ((lo + sq - 1) // sq)
-        if start < hi:
-            flags[start - lo:hi - lo:sq] = False
-        d += 1
+    return flags
+
+
+def segmented_squarefree(lo: int, hi: int) -> np.ndarray:
+    """Squarefree flags for n in [lo, hi); 0 is not squarefree."""
+    flags = odd_squarefree(lo, hi)
+    flags[-lo % 4::4] = False
     return flags
 
 
 def omega_sieve(limit: int) -> np.ndarray:
     """omega(n), the number of distinct prime divisors, for every n < limit.
 
-    Primes up to sqrt(limit) are added by strided writes and divided out of
-    a running cofactor; a cofactor above 1 is the one prime left over.
-    omega(0) reads 0.
+    Primes up to sqrt(limit) are counted as progressions p, 2p, ... and
+    divided out of a running cofactor; a cofactor above 1 is the one prime
+    left over.  omega(0) reads 0.
     """
-    omega = np.zeros(limit, dtype=np.int8)
+    primes = sieve_primes(math.isqrt(max(limit - 1, 0)) + 1).tolist()
+    omega = progression_counts(0, limit, [(p, p) for p in primes])
     rem = np.arange(limit, dtype=np.int32)
-    for p in map(int, sieve_primes(math.isqrt(max(limit - 1, 0)) + 1)):
-        omega[p::p] += 1
+    for p in primes:
         pk = p
         while pk < limit:
             rem[pk::pk] //= p

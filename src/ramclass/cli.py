@@ -65,11 +65,17 @@ def _parse_fraction(text: str, what: str) -> Fraction:
 
 
 def _count(text: str, what: str) -> int:
-    """A whole number written as an int or in float notation, such as 1e4."""
+    """A whole number written as an int or in float notation, such as 1e4.
+
+    The value is read exactly; one that is not whole, such as 100.7, is refused.
+    """
     try:
-        return int(float(text))
-    except (OverflowError, ValueError) as exc:
-        raise ParseError(f"bad {what} {text!r}") from exc
+        value = Fraction(text) if math.isfinite(float(text)) else None
+    except ValueError:
+        value = None
+    if value is None or value.denominator != 1:
+        raise ParseError(f"bad {what} {text!r}: not a whole number")
+    return int(value)
 
 
 def _checkpoints(text: str) -> list[int]:
@@ -147,6 +153,10 @@ FIELDS_CAP = 5 * 10 ** 4
 
 def cmd_quadratic(args) -> None:
     checkpoints = _checkpoints(args.checkpoints)
+    if args.r is not None and args.kind != "probability":
+        raise ParseError(f"--r applies only to probability scans, not to {args.kind}")
+    if args.r is not None and args.r < 0:
+        raise ParseError(f"--r must be nonnegative, got {args.r}")
     if args.kind == "moment":
         rows = quadratic.moment_scan(checkpoints, order=args.order, jobs=args.jobs)
         table = [(x, n, f"{e:.12g}") for x, n, e in rows]
@@ -209,6 +219,8 @@ def cmd_abelian(args) -> None:
                  else "subgroup_meets_omega")
     r = args.r if args.r is not None else 0
     cap = _count(args.cap, "--cap") if args.cap is not None else None
+    if cap is not None and cap < 0:
+        raise ParseError(f"--cap must be nonnegative, got {args.cap}")
     strat = abelian_fields.count_stratified(group, omega, checkpoints, r,
                                             semantics=semantics, cap=cap)
     # the strata and the spill row above r partition the total

@@ -5,13 +5,14 @@ counting ambiguous reduced forms of discriminant -n in two disjoint families,
 (a, 0, c) with n = 4ac and the factorisations n = uv with u < v and
 u + v = 0 mod 4, so the genus inequality omega - 1 <= rk2 <= omega is tested
 against two independent computations.  One array function lists the
-fundamental discriminants of a |D| range with their radicals; enumeration,
-radical counts and scans read it.
+fundamental discriminants of a |D| range with their radicals from one
+squarefree sieve pass; enumeration, radical counts and scans read it.
 Scans over the family ordered by product of ramified primes (or by |D|) walk
 |D| in fixed segments of SEGMENT values, so their memory is bounded by the
-segment size, not by x.  --jobs only spreads the same segments over worker
-processes, and the per-segment tallies are summed in segment order, so the
-output is the same for every --jobs.
+segment size, not by x.  Each segment gives one cumulative count grid over
+(checkpoint, rk2); --jobs only spreads the segments over worker processes,
+and the grids are summed in segment order, so the output is the same for
+every --jobs.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import is_squarefree, omega, omega_sieve, radical, segmented_squarefree
+from .arith import (is_squarefree, odd_squarefree, omega, omega_sieve, progression_counts,
+                    radical, segmented_squarefree)
 from .errors import CapExceeded, EmptyRange, NotFundamental
 
 SCAN_ORDERS = ("radical", "absdisc")
@@ -122,27 +124,25 @@ ENUMERATION_CAP = 10 ** 6
 def _fundamentals(lo: int, hi: int, signs: str) -> tuple[np.ndarray, np.ndarray]:
     """Fundamental D with |D| in [lo, hi) and their radicals, as int64 arrays.
 
-    Odd |D| = n > 1 is squarefree, with D = -n for n = 3 mod 4 and D = n for
-    n = 1 mod 4, of radical n.  |D| = 4k has k squarefree: k = 1 mod 4 gives
-    -4k and k = 3 mod 4 gives 4k, of radical 2k; k = 2 mod 4 gives -4k and 4k,
-    of radical k.  With signs = "imaginary" only the D < 0 are listed.
+    One sieve flags the n = |D| that no odd prime square divides.  Odd n > 1
+    gives D = -n for n = 3 mod 4 and D = n for n = 1 mod 4, of radical n.
+    n = 4k has k squarefree: n = 4 mod 16 gives -n and n = 12 mod 16 gives n,
+    of radical n/2 (k odd); n = 8 mod 16 gives -n and n, of radical n/4
+    (k = 2 mod 4).  With signs = "imaginary" only the D < 0 are listed.
     """
-    n_flags = segmented_squarefree(lo, hi)
-    klo = -(-lo // 4)
-    k_flags = segmented_squarefree(klo, -(-hi // 4))
+    flags = odd_squarefree(lo, hi)
 
-    def squarefree(flags, base, r):
-        """The m = r mod 4 in [base, base + len(flags)) with flags[m - base] set."""
-        start = base + (r - base) % 4
-        return np.arange(start, base + len(flags), 4, dtype=np.int64)[flags[start - base::4]]
+    def pick(r, m):
+        """The n = r mod m in [lo, hi) that the sieve flags."""
+        start = lo + (r - lo) % m
+        return np.arange(start, hi, m, dtype=np.int64)[flags[start - lo::m]]
 
-    n3 = squarefree(n_flags, lo, 3)
-    k1, k2 = squarefree(k_flags, klo, 1), squarefree(k_flags, klo, 2)
-    pairs = [(-n3, n3), (-4 * k1, 2 * k1), (-4 * k2, k2)]
+    n3, n4, n8 = pick(3, 4), pick(4, 16), pick(8, 16)
+    pairs = [(-n3, n3), (-n4, n4 // 2), (-n8, n8 // 4)]
     if signs == "both":
-        n1, k3 = squarefree(n_flags, lo, 1), squarefree(k_flags, klo, 3)
+        n1, n12 = pick(1, 4), pick(12, 16)
         n1 = n1[n1 > 1]
-        pairs += [(n1, n1), (4 * k3, 2 * k3), (4 * k2, k2)]
+        pairs += [(n1, n1), (n12, n12 // 2), (n8, n8 // 4)]
     return np.concatenate([D for D, _ in pairs]), np.concatenate([P for _, P in pairs])
 
 
@@ -190,25 +190,13 @@ def segmented_ambiguous(lo: int, hi: int) -> np.ndarray:
     family 1 is n = 4a * c for c >= a, family 2 is n = u * v for v > u with
     v = -u mod 4, so the least v is u + 2 for odd u and u + 4 for even u.
     """
-    counts = np.zeros(hi - lo, dtype=np.int16)
     strides = [(4 * a * a, 4 * a) for a in range(1, math.isqrt(max(hi - 1, 0) // 4) + 1)]
     strides += [(u * (u + 4 - 2 * (u % 2)), 4 * u)
                 for u in range(1, math.isqrt(max(hi - 1, 0)) + 1)]
-    for start, step in strides:
-        if start < lo:
-            start += step * -((start - lo) // step)
-        counts[start - lo::step] += 1
-    return counts
+    return progression_counts(lo, hi, strides, np.int16)
 
 
 _POWERS_OF_TWO = 1 << np.arange(16, dtype=np.int64)
-
-
-def _rk2_from_counts(counts: np.ndarray) -> np.ndarray:
-    counts = counts.astype(np.int64)
-    assert int((counts & (counts - 1)).max(initial=0)) == 0, \
-        "ambiguous count must be a power of two"
-    return np.searchsorted(_POWERS_OF_TWO, counts).astype(np.int64)
 
 
 def _segment_fields(lo: int, hi: int, max_key: int, order: str):
@@ -219,58 +207,51 @@ def _segment_fields(lo: int, hi: int, max_key: int, order: str):
     D, P = _fundamentals(lo, hi, "imaginary")
     key = P if order == "radical" else -D
     absd, key = -D[key < max_key], key[key < max_key]
-    return absd, key, _rk2_from_counts(segmented_ambiguous(lo, hi)[absd - lo])
+    amb = segmented_ambiguous(lo, hi)[absd - lo].astype(np.int64)
+    assert int((amb & (amb - 1)).max(initial=0)) == 0, "ambiguous count must be a power of two"
+    return absd, key, np.searchsorted(_POWERS_OF_TWO, amb)
 
 
 def _tally_segment(args):
-    lo, hi, max_key, order, checkpoints, r_values = args
+    """Cumulative grid[j, v]: fields of the segment with key < checkpoints[j] and rk2 = v."""
+    lo, hi, max_key, order, checkpoints = args
     _, key, rk2 = _segment_fields(lo, hi, max_key, order)
-    n_ck = len(checkpoints)
-    counts = np.zeros(n_ck, dtype=np.int64)
-    moments = np.zeros(n_ck, dtype=np.int64)
-    le_counts = np.zeros((len(r_values), n_ck), dtype=np.int64)
-    for j, x in enumerate(checkpoints):
-        mask = key < x
-        counts[j] = int(mask.sum())
-        moments[j] = int((np.int64(1) << rk2[mask]).sum())
-        for i, r in enumerate(r_values):
-            le_counts[i, j] = int((rk2[mask] <= r).sum())
-    return counts, moments, le_counts
+    cells = np.searchsorted(checkpoints, key, side="right") * 16 + rk2  # rk2 < 16
+    return np.bincount(cells, minlength=len(checkpoints) * 16).reshape(-1, 16).cumsum(axis=0)
 
 
-def _scan(checkpoints, r_values, order: str = "radical", jobs: int = 1):
+def _scan(checkpoints, order: str = "radical", jobs: int = 1):
     checkpoints = sorted(int(x) for x in checkpoints)
     if not checkpoints or checkpoints[0] < 1:
         raise ValueError("checkpoints must be positive integers")
     max_key = checkpoints[-1]
     hi = 4 * max_key if order == "radical" else max_key
-    tasks = [(lo, min(lo + SEGMENT, hi), max_key, order, checkpoints, r_values)
+    tasks = [(lo, min(lo + SEGMENT, hi), max_key, order, checkpoints)
              for lo in range(0, hi, SEGMENT)]
     workers = min(int(jobs), len(tasks), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_tally_segment, tasks))
+            grid = sum(pool.map(_tally_segment, tasks))
     else:
-        results = [_tally_segment(t) for t in tasks]
-    counts = sum(r[0] for r in results)
-    moments = sum(r[1] for r in results)
-    le_counts = sum(r[2] for r in results)
-    if len(counts) == 0 or counts.min() == 0:
+        grid = sum(map(_tally_segment, tasks))
+    counts = grid.sum(axis=1)
+    if counts.min() == 0:
         bad = checkpoints[int(np.argmin(counts))]
         raise EmptyRange(f"no fields below checkpoint {bad}")
-    return checkpoints, counts, moments, le_counts
+    return checkpoints, counts, grid
 
 
 def moment_scan(checkpoints, order: str = "radical", jobs: int = 1):
     """Cumulative (x, N, E_hat) rows with E_hat the average of 2^rk2."""
-    xs, counts, moments, _ = _scan(checkpoints, [], order, jobs)
-    return [(x, int(n), m / n) for x, n, m in zip(xs, counts, moments)]
+    xs, counts, grid = _scan(checkpoints, order, jobs)
+    return [(x, int(n), m / n) for x, n, m in zip(xs, counts, grid @ _POWERS_OF_TWO)]
 
 
 def rank_probability_scan(checkpoints, r: int, order: str = "radical", jobs: int = 1):
     """Cumulative (x, N, P_hat) rows with P_hat the share of fields with rk2 <= r."""
-    xs, counts, _, le_counts = _scan(checkpoints, [int(r)], order, jobs)
-    return [(x, int(n), c / n) for x, n, c in zip(xs, counts, le_counts[0])]
+    xs, counts, grid = _scan(checkpoints, order, jobs)
+    le_counts = grid[:, :max(int(r) + 1, 0)].sum(axis=1)
+    return [(x, int(n), c / n) for x, n, c in zip(xs, counts, le_counts)]
 
 
 def genus_sweep(max_abs_d: int) -> tuple[int, list[int]]:

@@ -423,3 +423,23 @@ def test_one_sieve_and_one_walk_per_count(monkeypatch):
         before = dict(calls)
         count_stratified(group, group.omega_subset(2 if group.order % 2 == 0 else 3, 1), ck, 2)
         assert calls == {name: n + 1 for name, n in before.items()}, factors
+
+
+
+def test_memory_guard_before_the_sieve(monkeypatch):
+    want = count_fields_total(C2, 10 ** 4)
+    sieve, sieved = abelian_fields.sieve_primes, []
+
+    def counted(limit):
+        sieved.append(limit)
+        return sieve(limit)
+
+    monkeypatch.setattr(abelian_fields, "sieve_primes", counted)
+    monkeypatch.setattr(abelian_fields, "_physical_memory", lambda: 10 ** 4)
+    with pytest.raises(CapExceeded, match="physical memory"):
+        count_stratified(C2, frozenset(), [10 ** 4], 0)
+    assert sieved == []
+    # about 21 kB of flags and primes fit in 100 kB
+    monkeypatch.setattr(abelian_fields, "_physical_memory", lambda: 10 ** 5)
+    assert count_stratified(C2, frozenset(), [10 ** 4], 0)[0] == [want]
+    assert sieved == [10 ** 4]

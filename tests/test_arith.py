@@ -9,6 +9,7 @@ from ramclass.arith import (
     is_prime,
     omega_sieve,
     prime_factors,
+    progression_counts,
     segmented_squarefree,
     sieve_primes,
     valuation,
@@ -52,6 +53,18 @@ def test_segmented_squarefree_matches_trial_division(lo, width, data):
     mid = data.draw(st.integers(lo, hi))
     split = np.concatenate([segmented_squarefree(lo, mid), segmented_squarefree(mid, hi)])
     assert np.array_equal(split, flags)
+
+
+@given(st.integers(0, 3000), st.integers(0, 300),
+       st.lists(st.tuples(st.integers(-100, 3500), st.integers(1, 80)), max_size=12))
+def test_progression_counts_matches_python_count(lo, width, progressions):
+    # starts fall below lo, inside the window and above hi
+    hi = lo + width
+    counts = progression_counts(lo, hi, progressions)
+    assert counts.shape == (width,) and counts.dtype == np.int8
+    assert counts.tolist() == [sum(1 for start, step in progressions
+                                   if n >= start and (n - start) % step == 0)
+                               for n in range(lo, hi)]
 
 
 def test_small_values():

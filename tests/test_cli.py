@@ -225,6 +225,54 @@ def test_quadratic_fields_time_cap_exit_4(capsys):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["probability", "--checkpoints", "1e3", "--r", "-1"],
+    ["moment", "--checkpoints", "1e3", "--r", "1"],
+    ["fields", "--checkpoints", "1e2", "--r", "0"],
+])
+def test_quadratic_r_only_for_probability_and_nonnegative(capsys, argv):
+    code, out, err = run(capsys, "quadratic", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+# -- integer arguments ------------------------------------------------------------
+
+
+def test_checkpoints_parse_exactly(capsys):
+    # 2^53 + 1 is not a float; its cap error must quote it unchanged
+    code, _, err = run(capsys, "abelian", "C2", "--checkpoints", "9007199254740993")
+    assert code == 4 and "9007199254740993" in err
+    code, out, _ = run(capsys, "abelian", "C2", "--checkpoints", "1.5e2,2e2", "--cap", "2.5E2")
+    assert code == 0
+    assert [row.split(",")[0] for row in out.split()[1:]] == ["150", "200"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["abelian", "C2", "--checkpoints", "100.7"],
+    ["quadratic", "moment", "--checkpoints", "1e3,2.5e3,1e-2"],
+    ["abelian", "C2", "--checkpoints", "1e3", "--cap", "999.9"],
+    ["abelian", "C2", "--checkpoints", "1e3", "--cap", "-5"],
+    ["abelian", "C2", "--checkpoints", "1e3", "--cap", "nan"],
+])
+def test_non_integral_or_negative_values_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_abelian_sieve_beyond_physical_memory_exit_4(capsys, monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError(f"sieved to {limit}")
+
+    monkeypatch.setattr(abelian_fields, "_physical_memory", lambda: 8 * 2 ** 30)
+    monkeypatch.setattr(abelian_fields, "sieve_primes", no_sieve)
+    code, out, err = run(capsys, "abelian", "C2", "--checkpoints", "1e12", "--cap", "1e12")
+    assert code == 4 and out == ""
+    assert err.startswith("error:") and "physical memory" in err
+    assert len(err.splitlines()) == 1
+
+
 # -- asymptotic ---------------------------------------------------------------
 
 

@@ -101,6 +101,19 @@ def test_genus_check():
     assert not genus_check(QuadraticFieldRecord(-1, 1, 3, 2, 2))
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10 ** 5), st.integers(1, 15), st.integers(1, 500))
+def test_fundamentals_on_windows_off_the_16_grid(q, r, width):
+    lo = 16 * q + r
+    hi = lo + width
+    D, P = quadratic._fundamentals(lo, hi, "both")
+    want = sorted(d for n in range(lo, hi) for d in (-n, n) if is_fundamental(d))
+    assert sorted(D.tolist()) == want
+    assert P.tolist() == [radical(d) for d in D.tolist()]
+    imaginary, _ = quadratic._fundamentals(lo, hi, "imaginary")
+    assert sorted(imaginary.tolist()) == [d for d in want if d < 0]
+
+
 def test_ambiguous_count_matches_form_enumeration():
     for D in enumerate_discriminants("abs_disc", 3000):
         assert ambiguous_count(D) == len(ambiguous_reduced_forms(D)), D
@@ -188,6 +201,12 @@ def test_probability_scan_small():
     assert rows[0][2] == 1.0
 
 
+def test_probability_scan_negative_r_counts_nothing():
+    # a negative r must not wrap round to the top 2-ranks
+    for r in (-1, -3, -20):
+        assert [row[2] for row in rank_probability_scan([10 ** 3, 10 ** 4], r)] == [0.0, 0.0]
+
+
 def test_probability_scan_decreasing():
     rows = rank_probability_scan([10 ** 3, 10 ** 5], 0)
     assert rows[0][2] > rows[-1][2]
@@ -227,6 +246,20 @@ def test_scan_absdisc_order():
     want = [class_group_data(D) for D in enumerate_discriminants("abs_disc", 100)]
     assert rows[0][1] == len(want)
     assert rows[0][2] == pytest.approx(sum(2 ** r.rk2 for r in want) / len(want))
+
+
+def test_scan_rows_match_records_at_every_checkpoint():
+    # checkpoints equal to keys of fields: a field with key x counts only above x
+    ck = [4, 7, 8, 15, 31, 120, 300]
+    for order, kind in zip(SCAN_ORDERS, ("radical", "abs_disc")):
+        recs = [class_group_data(D) for D in enumerate_discriminants(kind, ck[-1])]
+        keys = [r.P if order == "radical" else -r.D for r in recs]
+        below = [[r for r, key in zip(recs, keys) if key < x] for x in ck]
+        want = [(x, len(b), sum(2 ** r.rk2 for r in b) / len(b)) for x, b in zip(ck, below)]
+        assert moment_scan(ck, order) == want
+        for rk in range(3):
+            want = [(x, len(b), sum(r.rk2 <= rk for r in b) / len(b)) for x, b in zip(ck, below)]
+            assert rank_probability_scan(ck, rk, order) == want
 
 
 def test_scan_matches_per_field_records():
