@@ -6,11 +6,15 @@ ramified support multiplies to n.  Local budgets are tabulated per prime
 (tame: one map per element of order dividing p-1; wild: tame character times
 a map from the pro-p line), and joint surjectivity is enforced by Moebius
 inversion over the subgroup lattice.  Subgroups with the same local data are
-merged into one term, and the counter sieves the primes once and walks the
-squarefree supports once for all terms.  Primes enter by residue class mod
-the exponent e, as sorted arrays; a wild prime p divides e, so it is the only
-prime of its class p mod e and needs no path of its own.  enumerate_records and
-brute_force_total are the slow, independent checks of that walk.  The
+merged into one term, and the counter walks the squarefree supports once for
+all terms.  Primes enter by residue class mod the exponent e: the walk's
+primes, those below sqrt(x), come from one sieve to sqrt(x), and every
+larger prime is only counted, from one table of pi(y; e, c) at the floor
+values y of x - 1 per checkpoint (arith.prime_counts_mod), so memory is
+O(phi(e) sqrt(x)).  A wild prime p divides e, so it is the only prime of its
+class p mod e and needs no path of its own.  enumerate_records and
+brute_force_total sieve every integer below x; they are the slow, independent
+checks of that walk.  The
 lattice is listed by joining cyclic subgroups, its Moebius function comes
 from P. Hall's closed form for abelian groups, and it is built once per group.
 """
@@ -20,14 +24,15 @@ from __future__ import annotations
 import functools
 import math
 import os
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product as _iproduct
 
 import numpy as np
 
-from .arith import invariant_factors, prime_factors, sieve_primes, valuation
+from .arith import (euler_phi, invariant_factors, prime_counts_mod, prime_factors, sieve_primes,
+                    valuation)
 from .errors import CapExceeded, EmptyRange, NotClosed, TamePrime, WildPrime
 
 DEFAULT_ORDER_CAP = 64
@@ -212,7 +217,7 @@ class FieldCountRecord:
 
 def default_cap(group: AbelianGroupSpec) -> int:
     if group.order <= 3:
-        return 10 ** 7
+        return 10 ** 9
     if group.order < 8:
         return 10 ** 6
     return 10 ** 5
@@ -247,20 +252,31 @@ def _setup_counts(checkpoints, r_max, setups, class_primes):
     Only primes p with p * p < x can be extended, so they alone make up the
     walk; every prime that can only close a support is counted in bulk per
     class, and a support has at most one prime >= sqrt(x), so none is counted
-    twice.
+    twice.  A bulk count reads pi(y; e, c) at y = (x - 1) // prod: below the
+    root of the largest checkpoint by bisecting the class primes, and from
+    there on in the floor-value table of x - 1, one per distinct checkpoint.
+    A wild prime's class is always bisected.
     """
     n_ck = len(checkpoints)
     xmax = checkpoints[-1]
     root_break = math.isqrt(xmax - 1) + 1  # the least p with p * p >= xmax
-    universe = []  # (p, per-term (hit, miss)) for the class primes below root_break
-    class_lists = []  # (primes, largest prime, per-term (hit, miss))
-    for c in sorted(set().union(*(class_ab for _, class_ab in setups))):
+    # a y >= root_break is (x - 1) // prod for some prod <= sqrt(x - 1), so it
+    # is the table entry (x - 1) // y - 1
+    tables = {x: prime_counts_mod(x - 1, class_primes.exponent)
+              for x in set(checkpoints) if x - 1 >= root_break}
+    universe = []  # (p, index into class_lists) for the class primes below root_break
+    class_lists = []  # (primes, top, per-checkpoint table or None, per-term (hit, miss))
+    for j, c in enumerate(sorted(set().union(*(class_ab for _, class_ab in setups)))):
         ab = tuple(class_ab.get(c, (0, 0)) for _, class_ab in setups)
         primes = class_primes[c]
-        if len(primes):
-            universe.extend((p, ab) for p in primes[:np.searchsorted(primes, root_break)].tolist())
-            class_lists.append((primes, int(primes[-1]), ab))
+        universe.extend((p, j) for p in primes[:np.searchsorted(primes, root_break)].tolist())
+        counts = [tables.get(x, {}).get(c) for x in checkpoints]
+        top = int(primes[-1]) if len(primes) else 0  # the largest prime a count can reach
+        if any(table is not None for table in counts):
+            top = xmax  # the tables reach past the class primes
+        class_lists.append((primes.tolist(), top, counts, ab))
     universe.sort(key=lambda entry: entry[0])
+    n_universe, n_classes = len(universe), len(class_lists)
     rows = r_max + 2
     # a hit moves a support one row up; the spill row absorbs every r > r_max
     up = list(range(1, rows)) + [rows - 1]
@@ -288,29 +304,40 @@ def _setup_counts(checkpoints, r_max, setups, class_primes):
         k = bisect_right(checkpoints, prod)
         if k < n_ck:
             deposit(k, weights)
+        # the rows after one more prime, by class: the same for every prime of it
+        stepped = [None] * n_classes
         i = start
-        while i < len(universe):
-            p, ab = universe[i]
+        while i < n_universe:
+            p, j = universe[i]
             if prod * p * p >= xmax:
                 break
-            new = step(weights, ab)
+            new = stepped[j]
+            if new is None:
+                new = stepped[j] = step(weights, class_lists[j][3])
             if new:
                 dfs(i + 1, prod * p, new)
             i += 1
         # bulk zone: no prime from v_break on can be extended further; the
         # class primes left out of the universe start at root_break
-        v_break = universe[i][0] if i < len(universe) else root_break
-        cuts = [v_break] + [(x - 1) // prod + 1 for x in checkpoints]
-        for primes, top, ab in class_lists:
+        v_break = universe[i][0] if i < n_universe else root_break
+        # the checkpoints from k0 on have (x - 1) // prod >= v_break
+        k0 = bisect_right(checkpoints, v_break * prod)
+        if k0 == n_ck:
+            return
+        ys = [(x - 1) // prod for x in checkpoints[k0:]]
+        for j, (primes, top, counts, ab) in enumerate(class_lists):
             if top < v_break:
                 continue
-            # Python ints: the mu-weighted rows may pass the int64 range
-            prev, *his = np.searchsorted(primes, cuts).tolist()
-            stepped = None
-            for k, hi in enumerate(his):
+            prev = bisect_left(primes, v_break)
+            for k, y in enumerate(ys, k0):
+                table = counts[k]
+                # Python ints: the mu-weighted rows may pass the int64 range
+                hi = (bisect_right(primes, y) if y < root_break or table is None
+                      else table.item((checkpoints[k] - 1) // y - 1))
                 if hi > prev:
-                    stepped = stepped or step(weights, ab)
-                    deposit(k, stepped, hi - prev)
+                    if stepped[j] is None:
+                        stepped[j] = step(weights, ab)
+                    deposit(k, stepped[j], hi - prev)
                     prev = hi
 
     first = [0] * (rows - 1)
@@ -364,13 +391,42 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
+class _ClassPrimes(dict):
+    """Sorted prime arrays by residue class mod ``exponent``: the primes below
+    the root of the largest checkpoint, and a wild prime whatever its size."""
+
+    def __init__(self, exponent: int, classes: dict):
+        super().__init__(classes)
+        self.exponent = exponent
+
+
 def _class_prime_lists(setups, exponent, xmax):
-    """Primes below xmax as sorted arrays, by the residue classes mod the exponent
-    that the terms use; a wild prime's class holds that prime alone."""
-    primes = sieve_primes(xmax)
+    """The primes below sqrt(xmax) by the residue classes mod the exponent that
+    the terms use; a wild prime's class holds that prime alone."""
+    primes = sieve_primes(math.isqrt(xmax - 1) + 1)
     residues = primes % exponent
+    wild = {p % exponent: p for p in prime_factors(exponent)}
     used = set().union(*(class_ab for _, class_ab in setups))
-    return {c: primes[residues == c] for c in used}
+    return _ClassPrimes(exponent, {c: np.array([wild[c]], dtype=np.int64) if c in wild
+                                   else primes[residues == c] for c in used})
+
+
+def _memory_needed(checkpoints, exponent) -> int:
+    """Bytes that count_stratified allocates at its peak, an upper bound.
+
+    The sieve below sqrt(xmax) (a flag byte per n, and an int64 per prime in
+    the sieve, the class arrays and their residues, with under 200 bytes per
+    prime for the walk's Python lists), as pi(s) < 1.26 s / log s (Rosser and
+    Schoenfeld); then phi(e) int64 tables of under 2 sqrt(x) + 1 entries per
+    distinct checkpoint x, and the build's temporaries: 2 phi(e) + 6 more
+    such rows for the largest table.  Only what grows with x is counted; the
+    subgroup lattice and the walk's weight rows stay a few MB below order 64.
+    """
+    s = math.isqrt(checkpoints[-1] - 1) + 1
+    primes = int(1.26 * s / math.log(max(s, 3))) + 1
+    phi = euler_phi(exponent)
+    rows = [2 * math.isqrt(x) + 1 for x in set(checkpoints)]
+    return s + 224 * primes + 8 * (phi * sum(rows) + (2 * phi + 6) * max(rows))
 
 
 def count_stratified(group: AbelianGroupSpec, omega, checkpoints, r_max: int,
@@ -381,8 +437,10 @@ def count_stratified(group: AbelianGroupSpec, omega, checkpoints, r_max: int,
     Row r holds the counts for r = 0..r_max; one more row, index r_max + 1,
     holds every pair with more than r_max primes meeting Omega.  Each column
     therefore sums to the empty-Omega total N(S(G), P; x), from the same pass.
-    The primes are sieved once and every Moebius term is counted in one
-    support walk.
+    The primes below sqrt(max x) are sieved once, the larger ones are counted
+    from one floor-value table per checkpoint, and every Moebius term is
+    counted in one support walk.  Before anything is allocated, x > 2^63 and
+    an estimated peak above physical memory raise CapExceeded.
     """
     omega = _check_omega(group, omega)
     if semantics not in ("subgroup_meets_omega", "generator_in_omega"):
@@ -396,11 +454,11 @@ def count_stratified(group: AbelianGroupSpec, omega, checkpoints, r_max: int,
     limit = cap if cap is not None else default_cap(group)
     if xmax > limit:
         raise CapExceeded(f"x = {xmax} exceeds cap {limit}")
-    # the prime sieve holds a flag byte per n and an int64 per prime, and
-    # pi(x) < 1.26 x / log x (Rosser and Schoenfeld)
-    need, have = xmax + int(8 * 1.26 * xmax / math.log(max(xmax, 3))), _physical_memory()
+    if xmax > 2 ** 63:
+        raise CapExceeded(f"x = {xmax} is beyond the int64 prime-count tables (x <= 2^63)")
+    need, have = _memory_needed(checkpoints, group.exponent), _physical_memory()
     if need > have:
-        raise CapExceeded(f"x = {xmax} needs a {need / 2 ** 30:.1f} GiB prime sieve, "
+        raise CapExceeded(f"x = {xmax} needs {need / 2 ** 30:.1f} GiB of prime tables, "
                           f"more than the {have / 2 ** 30:.1f} GiB of physical memory")
 
     setups = _build_setups(group, omega, semantics)

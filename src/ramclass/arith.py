@@ -1,11 +1,12 @@
 """Number-theory primitives shared by every engine.
 
 This module holds the one implementation of each sieve and factoriser in the
-package: the prime sieve, the one strided-count loop behind the squarefree,
-omega and ambiguous-form sieves, trial division, Miller-Rabin and invariant
-factors.  The engines import them from here.  The independent oracles that
-test them (``dirichlet.segmented_primes``, ``quadratic.reduced_forms``, ...)
-stay with their engines on purpose.
+package: the prime sieve, the prime counts per residue class at the floor
+values of n, the one strided-count loop behind the squarefree, omega and
+ambiguous-form sieves, trial division, Miller-Rabin and invariant factors.
+The engines import them from here.  The independent oracles that test them
+(``dirichlet.segmented_primes``, ``quadratic.reduced_forms``, ...) stay with
+their engines on purpose.
 """
 
 from __future__ import annotations
@@ -27,6 +28,42 @@ def sieve_primes(limit: int) -> np.ndarray:
         if flags[p]:
             flags[p * p::p] = False
     return np.flatnonzero(flags).astype(np.int64, copy=False)
+
+
+def prime_counts_mod(n: int, e: int) -> dict[int, np.ndarray]:
+    """pi(v; e, c) at every floor value v of n, for each class c prime to e.
+
+    The floor values are n // i for i = 1 .. isqrt(n), then n // isqrt(n) - 1
+    down to 1, so entry i - 1 holds pi(n // i; e, c) for i <= sqrt(n) and
+    entry len - v holds pi(v; e, c) for v <= sqrt(n).  Legendre's sieve in
+    Lucy's form: S(v, c) starts as the integers in [2, v] that are c mod e,
+    and each prime p <= sqrt(n) not dividing e removes the multiples p * m
+    with m free of primes below p, S(v, c) -= S(v // p, c / p) - S(p - 1, c / p)
+    for v >= p * p, every class read before any is updated.  O(n^(3/4)) time
+    and O(phi(e) sqrt(n)) memory.
+    """
+    if n >= 2 ** 63:
+        raise CapExceeded(f"n = {n} is beyond the int64 prime-count tables")
+    classes = [c for c in range(e) if math.gcd(c, e) == 1]
+    if n < 1:
+        return {c: np.zeros(0, dtype=np.int64) for c in classes}
+    root = math.isqrt(n)
+    small_top = n // root  # the least of the n // i; the values below it are 1 .. small_top - 1
+    values = np.concatenate([n // np.arange(1, root + 1, dtype=np.int64),
+                             np.arange(small_top - 1, 0, -1, dtype=np.int64)])
+    size, ascending = len(values), -values
+    # the integers in [1, v] that are c mod e, less 1 itself in its class
+    table = np.array([(values - c) // e - (-c) // e - (c == 1 % e) for c in classes])
+    row = {c: j for j, c in enumerate(classes)}
+    for p in sieve_primes(root + 1).tolist():
+        if e % p == 0:
+            continue
+        k = int(np.searchsorted(ascending, -p * p, side="right"))  # the v >= p * p
+        q = values[:k] // p
+        at = np.where(q < small_top, size - q, n // q - 1)
+        src = [row[c * pow(p, -1, e) % e] for c in classes]
+        table[:, :k] -= table[np.ix_(src, at)] - table[src, size - (p - 1)][:, None]
+    return dict(zip(classes, table))
 
 
 def progression_counts(lo: int, hi: int, progressions, dtype=np.int8) -> np.ndarray:

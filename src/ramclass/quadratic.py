@@ -9,10 +9,10 @@ fundamental discriminants of a |D| range with their radicals from one
 squarefree sieve pass; enumeration, radical counts and scans read it.
 Scans over the family ordered by product of ramified primes (or by |D|) walk
 |D| in fixed segments of SEGMENT values, so their memory is bounded by the
-segment size, not by x.  Each segment gives one cumulative count grid over
-(checkpoint, rk2); --jobs only spreads the segments over worker processes,
-and the grids are summed in segment order, so the output is the same for
-every --jobs.
+segment size, not by x; their time is not, so they stop at SCAN_CAP.  Each
+segment gives one cumulative count grid over (checkpoint, rk2); --jobs only
+spreads the segments over worker processes, and the grids are summed in
+segment order, so the output is the same for every --jobs.
 """
 
 from __future__ import annotations
@@ -181,6 +181,9 @@ def radical_counts_both_signs(x: int) -> np.ndarray:
 # |D| values per scan segment.  It bounds the scan's memory; each segment also
 # repeats the O(sqrt(hi)) strides of segmented_ambiguous, so smaller is slower.
 SEGMENT = 1 << 21
+# the largest checkpoint a moment or probability scan takes: time grows
+# linearly in x, about 26 s at 1e8 on one core, so 1e9 is some minutes
+SCAN_CAP = 10 ** 9
 
 
 def segmented_ambiguous(lo: int, hi: int) -> np.ndarray:
@@ -225,6 +228,8 @@ def _scan(checkpoints, order: str = "radical", jobs: int = 1):
     if not checkpoints or checkpoints[0] < 1:
         raise ValueError("checkpoints must be positive integers")
     max_key = checkpoints[-1]
+    if max_key > SCAN_CAP:
+        raise CapExceeded(f"x = {max_key} exceeds the scan cap {SCAN_CAP}")
     hi = 4 * max_key if order == "radical" else max_key
     tasks = [(lo, min(lo + SEGMENT, hi), max_key, order, checkpoints)
              for lo in range(0, hi, SEGMENT)]

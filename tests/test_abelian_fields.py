@@ -439,7 +439,30 @@ def test_memory_guard_before_the_sieve(monkeypatch):
     with pytest.raises(CapExceeded, match="physical memory"):
         count_stratified(C2, frozenset(), [10 ** 4], 0)
     assert sieved == []
-    # about 21 kB of flags and primes fit in 100 kB
+    # about 21 kB of sieve, walk lists and tables fit in 100 kB
     monkeypatch.setattr(abelian_fields, "_physical_memory", lambda: 10 ** 5)
     assert count_stratified(C2, frozenset(), [10 ** 4], 0)[0] == [want]
-    assert sieved == [10 ** 4]
+    assert sieved == [math.isqrt(10 ** 4 - 1) + 1]
+
+
+# count_stratified(G, omega_subset(q, inf), PINNED_CHECKPOINTS, r_max) by the
+# sieve of every integer below 1e9 and per-class prime arrays, the counter's
+# path before the floor-value tables
+PINNED_CHECKPOINTS = [10 ** 4, 10 ** 6, 12345678, 10 ** 8, 999999937, 10 ** 9]
+PINNED_ROWS = {
+    ((2,), 2, 1): [[3, 3, 3, 3, 3, 3],
+                   [3232, 203108, 2081001, 14764853, 129915127, 129915131],
+                   [6901, 810094, 10427795, 86556305, 883296685, 883296743]],
+    ((3,), 3, 2): [[2, 2, 2, 2, 2, 2],
+                   [2142, 135682, 1389976, 9861754, 86752824, 86752830],
+                   [1988, 210388, 2484752, 19215088, 182174708, 182174720],
+                   [200, 86320, 1462952, 14157808, 163421896, 163421904]],
+}
+
+
+@pytest.mark.parametrize("factors, q, r_max", list(PINNED_ROWS), ids=["C2", "C3"])
+def test_rows_to_1e9_match_the_sieve_path(factors, q, r_max):
+    group = AbelianGroupSpec(factors)
+    got = count_stratified(group, group.omega_subset(q, math.inf), PINNED_CHECKPOINTS, r_max,
+                           cap=10 ** 9)
+    assert got == PINNED_ROWS[factors, q, r_max]

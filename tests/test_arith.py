@@ -8,6 +8,7 @@ from ramclass.arith import (
     invariant_factors,
     is_prime,
     omega_sieve,
+    prime_counts_mod,
     prime_factors,
     progression_counts,
     segmented_squarefree,
@@ -28,6 +29,46 @@ def test_sieve_primes_matches_segmented_primes(lo, width):
     primes = sieve_primes(hi)
     assert primes.dtype == np.int64
     assert [int(p) for p in primes if p >= lo] == segmented_primes(lo, hi)
+
+
+def _floor_values(n):
+    root = math.isqrt(n)
+    return [n // i for i in range(1, root + 1)] + list(range(n // root - 1, 0, -1))
+
+
+def _check_prime_counts(n, e):
+    table = prime_counts_mod(n, e)
+    assert sorted(table) == [c for c in range(e) if math.gcd(c, e) == 1]
+    primes = sieve_primes(n + 1)
+    values = np.array(_floor_values(n) if n else [], dtype=np.int64)
+    for c, counts in table.items():
+        assert counts.dtype == np.int64 and len(counts) == len(values)
+        in_class = primes[primes % e == c]
+        want = np.searchsorted(in_class, values, side="right")
+        assert counts.tolist() == want.tolist(), (n, e, c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2 * 10 ** 5 - 1), st.integers(1, 64))
+def test_prime_counts_mod_matches_the_sieve_at_every_floor_value(n, e):
+    _check_prime_counts(n, e)
+
+
+def test_prime_counts_mod_at_every_small_n():
+    # every prime square and its neighbours is an n here, and a floor value
+    for n in range(0, 300):
+        for e in (1, 2, 3, 4, 5, 7, 12, 30):
+            _check_prime_counts(n, e)
+
+
+def test_prime_counts_mod_exact_values():
+    # pi(1e9) = 50 847 534: the odd primes, then the prime 2
+    assert prime_counts_mod(10 ** 9, 2)[1][0] + 1 == 50_847_534
+    # below 1e8 the class 2 mod 3 leads; with the prime 3, pi(1e8) = 5 761 455
+    split = prime_counts_mod(10 ** 8 - 1, 3)
+    assert (split[1][0], split[2][0]) == (2_880_517, 2_880_937)
+    with pytest.raises(CapExceeded):
+        prime_counts_mod(2 ** 63, 2)
 
 
 @given(st.integers(0, 5000), st.data())

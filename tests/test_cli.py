@@ -4,7 +4,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from ramclass import abelian_fields, cli
+from ramclass import abelian_fields, cli, quadratic
 from ramclass.cli import main
 
 
@@ -267,9 +267,37 @@ def test_abelian_sieve_beyond_physical_memory_exit_4(capsys, monkeypatch):
 
     monkeypatch.setattr(abelian_fields, "_physical_memory", lambda: 8 * 2 ** 30)
     monkeypatch.setattr(abelian_fields, "sieve_primes", no_sieve)
-    code, out, err = run(capsys, "abelian", "C2", "--checkpoints", "1e12", "--cap", "1e12")
+    code, out, err = run(capsys, "abelian", "C2", "--checkpoints", "1e18", "--cap", "1e18")
     assert code == 4 and out == ""
     assert err.startswith("error:") and "physical memory" in err
+    assert len(err.splitlines()) == 1
+
+
+def test_abelian_beyond_int64_exit_4(capsys, monkeypatch):
+    def no_sieve(limit):
+        raise AssertionError(f"sieved to {limit}")
+
+    monkeypatch.setattr(abelian_fields, "_physical_memory", lambda: 2 ** 80)
+    monkeypatch.setattr(abelian_fields, "sieve_primes", no_sieve)
+    x = str(2 ** 63 + 1)
+    code, out, err = run(capsys, "abelian", "C3", "--checkpoints", x, "--cap", x)
+    assert code == 4 and out == ""
+    assert err.startswith("error:") and "int64" in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["moment", "--checkpoints", "1e3,1e13"],
+    ["probability", "--r", "1", "--checkpoints", "1000000001", "--order", "absdisc"],
+])
+def test_quadratic_scan_beyond_its_cap_exit_4(capsys, monkeypatch, argv):
+    def no_scan(task):
+        raise AssertionError(f"scanned {task[:2]}")
+
+    monkeypatch.setattr(quadratic, "_tally_segment", no_scan)
+    code, out, err = run(capsys, "quadratic", *argv)
+    assert code == 4 and out == ""
+    assert err.startswith("error:") and "scan cap" in err
     assert len(err.splitlines()) == 1
 
 
