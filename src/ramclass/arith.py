@@ -3,7 +3,8 @@
 This module holds the one implementation of each sieve and factoriser in the
 package: the prime sieve, the prime counts per residue class at the floor
 values of n, the one strided-count loop behind the squarefree, omega and
-ambiguous-form sieves, trial division, Miller-Rabin and invariant factors.
+ambiguous-form sieves (and the map that cuts its progressions to one residue
+class), trial division, Miller-Rabin and invariant factors.
 The engines import them from here.  The independent oracles that test them
 (``dirichlet.segmented_primes``, ``quadratic.reduced_forms``, ...) stay with
 their engines on purpose.
@@ -80,12 +81,26 @@ def progression_counts(lo: int, hi: int, progressions, dtype=np.int8) -> np.ndar
     return counts
 
 
-def odd_squarefree(lo: int, hi: int) -> np.ndarray:
-    """Flags for n in [lo, hi) that no odd prime square divides; 0 is excluded."""
-    odd = sieve_primes(math.isqrt(max(hi - 1, 0)) + 1)[1:].tolist()
-    flags = progression_counts(lo, hi, [(p * p, p * p) for p in odd])
+def class_progressions(progressions, r: int, m: int) -> list[tuple[int, int]]:
+    """The progressions (start, step) of n cut to the class n = r mod m, in i = (n - r) / m.
+
+    With g = gcd(step, m), a progression meets the class only if start = r mod g; it then
+    hits every (m / g)-th term from the first hit, one of the first m terms (m is small).
+    """
+    start, step = np.asarray(progressions, dtype=np.int64).reshape(-1, 2).T
+    g = np.gcd(step, m)
+    meets = (start - r) % g == 0
+    start, step, g = start[meets], step[meets], g[meets]
+    k = np.argmax((start[:, None] + step[:, None] * np.arange(m) - r) % m == 0, axis=1)
+    return list(zip(((start + k * step - r) // m).tolist(), (step // g).tolist()))
+
+
+def odd_squarefree(lo: int, hi: int, r: int = 0, m: int = 1) -> np.ndarray:
+    """Flags for n = r + m * i, i in [lo, hi), that no odd prime square divides; 0 is excluded."""
+    squares = sieve_primes(math.isqrt(max(r + m * (hi - 1), 0)) + 1)[1:] ** 2
+    flags = progression_counts(lo, hi, class_progressions(np.stack([squares] * 2, 1), r, m))
     flags = np.logical_not(flags, out=flags.view(bool))  # in place: one byte per n
-    if lo == 0 < hi:
+    if r == lo == 0 < hi:
         flags[0] = False
     return flags
 

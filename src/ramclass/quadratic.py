@@ -5,14 +5,16 @@ counting ambiguous reduced forms of discriminant -n in two disjoint families,
 (a, 0, c) with n = 4ac and the factorisations n = uv with u < v and
 u + v = 0 mod 4, so the genus inequality omega - 1 <= rk2 <= omega is tested
 against two independent computations.  One array function lists the
-fundamental discriminants of a |D| range with their radicals from one
-squarefree sieve pass; enumeration, radical counts and scans read it.
-Scans over the family ordered by product of ramified primes (or by |D|) walk
-|D| in fixed segments of SEGMENT values, so their memory is bounded by the
-segment size, not by x; their time is not, so they stop at SCAN_CAP.  Each
-segment gives one cumulative count grid over (checkpoint, rk2); --jobs only
-spreads the segments over worker processes, and the grids are summed in
-segment order, so the output is the same for every --jobs.
+fundamental discriminants of a |D| range with their radicals from one table
+of residue classes: D < 0 has |D| = 3 mod 4, 4 mod 16 or 8 mod 16, so each
+class n = r mod m is sieved alone over the index i = (n - r) / m, and
+enumeration, radical counts and scans read that table.  Scans over the family
+ordered by product of ramified primes (or by |D|) stop each class where its
+key reaches x, and walk it in windows of SEGMENT indices, so their memory is
+bounded by the window size, not by x; their time is not, so they stop at
+SCAN_CAP.  Each window gives one cumulative count grid over (checkpoint, rk2);
+--jobs only spreads the windows over worker processes, and the grids are
+exact integer sums, so the output is the same for every --jobs.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import (is_squarefree, odd_squarefree, omega, omega_sieve, progression_counts,
-                    radical, segmented_squarefree)
+from .arith import (class_progressions, is_squarefree, odd_squarefree, omega, omega_sieve,
+                    progression_counts, radical, segmented_squarefree)
 from .errors import CapExceeded, EmptyRange, NotFundamental
 
 SCAN_ORDERS = ("radical", "absdisc")
@@ -121,29 +123,25 @@ def genus_check(rec: QuadraticFieldRecord) -> bool:
 ENUMERATION_CAP = 10 ** 6
 
 
+# (r, m, d): D = -n is fundamental for n = r mod m with no odd prime square factor,
+# and its radical is n / d; REAL_CLASSES gives D = n the same way (n = 1 excluded)
+IMAGINARY_CLASSES = ((3, 4, 1), (4, 16, 2), (8, 16, 4))
+REAL_CLASSES = ((1, 4, 1), (12, 16, 2), (8, 16, 4))
+
+
+def _class_fields(lo: int, hi: int, cls) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The i in [lo, hi) whose n = r + m * i no odd prime square divides, n and n / d."""
+    r, m, d = cls
+    i = lo + np.flatnonzero(odd_squarefree(lo, hi, r, m))
+    return i, r + m * i, r // d + m // d * i
+
+
 def _fundamentals(lo: int, hi: int, signs: str) -> tuple[np.ndarray, np.ndarray]:
-    """Fundamental D with |D| in [lo, hi) and their radicals, as int64 arrays.
-
-    One sieve flags the n = |D| that no odd prime square divides.  Odd n > 1
-    gives D = -n for n = 3 mod 4 and D = n for n = 1 mod 4, of radical n.
-    n = 4k has k squarefree: n = 4 mod 16 gives -n and n = 12 mod 16 gives n,
-    of radical n/2 (k odd); n = 8 mod 16 gives -n and n, of radical n/4
-    (k = 2 mod 4).  With signs = "imaginary" only the D < 0 are listed.
-    """
-    flags = odd_squarefree(lo, hi)
-
-    def pick(r, m):
-        """The n = r mod m in [lo, hi) that the sieve flags."""
-        start = lo + (r - lo) % m
-        return np.arange(start, hi, m, dtype=np.int64)[flags[start - lo::m]]
-
-    n3, n4, n8 = pick(3, 4), pick(4, 16), pick(8, 16)
-    pairs = [(-n3, n3), (-n4, n4 // 2), (-n8, n8 // 4)]
-    if signs == "both":
-        n1, n12 = pick(1, 4), pick(12, 16)
-        n1 = n1[n1 > 1]
-        pairs += [(n1, n1), (n12, n12 // 2), (n8, n8 // 4)]
-    return np.concatenate([D for D, _ in pairs]), np.concatenate([P for _, P in pairs])
+    """Fundamental D with |D| in [lo, hi) and their radicals, as int64 arrays, by class."""
+    tables = [(-1, IMAGINARY_CLASSES)] + [(1, REAL_CLASSES)] * (signs == "both")
+    parts = [(sign * n[n > 1], P[n > 1]) for sign, classes in tables for r, m, d in classes
+             for _, n, P in [_class_fields(-((r - lo) // m), -((r - hi) // m), (r, m, d))]]
+    return np.concatenate([D for D, _ in parts]), np.concatenate([P for _, P in parts])
 
 
 def enumerate_with_radicals(bound_kind: str, x: int,
@@ -178,47 +176,46 @@ def radical_counts_both_signs(x: int) -> np.ndarray:
 
 # -- segmented batch machinery ---------------------------------------------------
 
-# |D| values per scan segment.  It bounds the scan's memory; each segment also
-# repeats the O(sqrt(hi)) strides of segmented_ambiguous, so smaller is slower.
-SEGMENT = 1 << 21
-# the largest checkpoint a moment or probability scan takes: time grows
-# linearly in x, about 26 s at 1e8 on one core, so 1e9 is some minutes
+# indices i per window of a class |D| = r + m * i.  It bounds the scan's memory; each window
+# repeats the O(sqrt(|D|)) strides of segmented_ambiguous, so smaller is slower.
+SEGMENT = 1 << 19
+# the largest checkpoint a moment or probability scan takes: time grows a little
+# faster than x, about 4 s at 1e8 and 66 s at 1e9 on one core (37 s with --jobs 2)
 SCAN_CAP = 10 ** 9
 
 
-def segmented_ambiguous(lo: int, hi: int) -> np.ndarray:
-    """Ambiguous reduced-form counts for discriminants -n, n in [lo, hi).
+def segmented_ambiguous(lo: int, hi: int, r: int = 0, m: int = 1) -> np.ndarray:
+    """Ambiguous reduced-form counts for discriminants -n, n = r + m * i, i in [lo, hi).
 
     The two families of ambiguous_count as arithmetic progressions in n:
     family 1 is n = 4a * c for c >= a, family 2 is n = u * v for v > u with
     v = -u mod 4, so the least v is u + 2 for odd u and u + 4 for even u.
+    Both are cut to the class n = r mod m.
     """
-    strides = [(4 * a * a, 4 * a) for a in range(1, math.isqrt(max(hi - 1, 0) // 4) + 1)]
-    strides += [(u * (u + 4 - 2 * (u % 2)), 4 * u)
-                for u in range(1, math.isqrt(max(hi - 1, 0)) + 1)]
-    return progression_counts(lo, hi, strides, np.int16)
+    top = max(r + m * (hi - 1), 0)
+    a, u = (np.arange(1, math.isqrt(k) + 1, dtype=np.int64) for k in (top // 4, top))
+    strides = [np.stack([4 * a * a, 4 * a], 1), np.stack([u * (u + 4 - 2 * (u % 2)), 4 * u], 1)]
+    return progression_counts(lo, hi, class_progressions(np.concatenate(strides), r, m), np.int16)
 
 
 _POWERS_OF_TWO = 1 << np.arange(16, dtype=np.int64)
 
 
-def _segment_fields(lo: int, hi: int, max_key: int, order: str):
-    """Imaginary fundamental |D| in [lo, hi) with key < max_key.
+def _segment_fields(lo: int, hi: int, cls, order: str):
+    """Imaginary fundamental |D| = r + m * i, i in [lo, hi), of one class (r, m, d).
 
     Returns (absD, key, rk2) arrays; the key is the radical (or |D|).
     """
-    D, P = _fundamentals(lo, hi, "imaginary")
-    key = P if order == "radical" else -D
-    absd, key = -D[key < max_key], key[key < max_key]
-    amb = segmented_ambiguous(lo, hi)[absd - lo].astype(np.int64)
-    assert int((amb & (amb - 1)).max(initial=0)) == 0, "ambiguous count must be a power of two"
-    return absd, key, np.searchsorted(_POWERS_OF_TWO, amb)
+    i, n, P = _class_fields(lo, hi, cls)
+    mantissa, exponent = np.frexp(segmented_ambiguous(lo, hi, cls[0], cls[1])[i - lo])
+    assert (mantissa == 0.5).all(), "ambiguous count must be a power of two"
+    return n, P if order == "radical" else n, exponent - 1
 
 
 def _tally_segment(args):
-    """Cumulative grid[j, v]: fields of the segment with key < checkpoints[j] and rk2 = v."""
-    lo, hi, max_key, order, checkpoints = args
-    _, key, rk2 = _segment_fields(lo, hi, max_key, order)
+    """Cumulative grid[j, v]: fields of the window with key < checkpoints[j] and rk2 = v."""
+    lo, hi, cls, order, checkpoints = args
+    _, key, rk2 = _segment_fields(lo, hi, cls, order)
     cells = np.searchsorted(checkpoints, key, side="right") * 16 + rk2  # rk2 < 16
     return np.bincount(cells, minlength=len(checkpoints) * 16).reshape(-1, 16).cumsum(axis=0)
 
@@ -230,15 +227,18 @@ def _scan(checkpoints, order: str = "radical", jobs: int = 1):
     max_key = checkpoints[-1]
     if max_key > SCAN_CAP:
         raise CapExceeded(f"x = {max_key} exceeds the scan cap {SCAN_CAP}")
-    hi = 4 * max_key if order == "radical" else max_key
-    tasks = [(lo, min(lo + SEGMENT, hi), max_key, order, checkpoints)
-             for lo in range(0, hi, SEGMENT)]
+    # each class stops at the first |D| whose key reaches max_key
+    tops = [(-((r - (d if order == "radical" else 1) * max_key) // m), (r, m, d))
+            for r, m, d in IMAGINARY_CLASSES]
+    tasks = [(lo, min(lo + SEGMENT, top), cls, order, checkpoints)
+             for top, cls in tops for lo in range(0, top, SEGMENT)]
     workers = min(int(jobs), len(tasks), os.cpu_count() or 1)
+    zero = np.zeros((len(checkpoints), 16), dtype=np.int64)  # a small x leaves no window
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            grid = sum(pool.map(_tally_segment, tasks))
+            grid = sum(pool.map(_tally_segment, tasks), zero)
     else:
-        grid = sum(map(_tally_segment, tasks))
+        grid = sum(map(_tally_segment, tasks), zero)
     counts = grid.sum(axis=1)
     if counts.min() == 0:
         bad = checkpoints[int(np.argmin(counts))]
@@ -265,7 +265,9 @@ def genus_sweep(max_abs_d: int) -> tuple[int, list[int]]:
     Returns (number checked, violating discriminants by increasing |D|); rk2
     comes from the ambiguous-form sieve, omega from the omega sieve.
     """
-    absd, _, rk2 = _segment_fields(0, max_abs_d + 1, max_abs_d + 1, "absdisc")
+    fields = [_segment_fields(0, -((r - max_abs_d - 1) // m), (r, m, d), "absdisc")
+              for r, m, d in IMAGINARY_CLASSES]
+    absd, rk2 = (np.concatenate([f[k] for f in fields]) for k in (0, 2))
     w = omega_sieve(max_abs_d + 1)[absd]
     bad = np.sort(absd[(rk2 < w - 1) | (rk2 > w)])
     return len(absd), [-int(n) for n in bad]

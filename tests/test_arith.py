@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramclass.arith import (
+    class_progressions,
     invariant_factors,
     is_prime,
     omega_sieve,
@@ -106,6 +107,28 @@ def test_progression_counts_matches_python_count(lo, width, progressions):
     assert counts.tolist() == [sum(1 for start, step in progressions
                                    if n >= start and (n - start) % step == 0)
                                for n in range(lo, hi)]
+
+
+@settings(deadline=None)
+@given(st.sampled_from([1, 4, 16, 12]), st.data(), st.integers(0, 400), st.integers(0, 200),
+       st.lists(st.tuples(st.integers(-100, 5000), st.integers(1, 6), st.integers(1, 40)),
+                max_size=12))
+def test_class_progressions_match_the_unrestricted_counts(m, data, lo, width, drawn):
+    # steps are k times 1, 2, 3, 4, 8 or 16, so most share a factor with some m and
+    # often miss the class; starts fall below the window
+    r = data.draw(st.integers(0, m - 1))
+    progressions = [(start, (1, 2, 3, 4, 8, 16)[f - 1] * k) for start, f, k in drawn]
+    hi = lo + width
+    got = progression_counts(lo, hi, class_progressions(progressions, r, m))
+    full = progression_counts(r + m * lo, r + m * hi, progressions)
+    assert got.tolist() == full[::m].tolist()
+
+
+def test_class_progressions_drop_empty_intersections():
+    # n = 1 mod 4 and even n never meet 3 mod 4; odd n meets it every other term
+    assert class_progressions([(1, 4), (2, 6), (5, 8)], 3, 4) == []
+    assert class_progressions([(1, 2)], 3, 4) == [(0, 1)]
+    assert class_progressions([(7, 10), (-3, 12)], 0, 1) == [(7, 10), (-3, 12)]
 
 
 def test_small_values():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramclass import quadratic
+from ramclass.arith import odd_squarefree
 from ramclass.errors import CapExceeded, EmptyRange, NotFundamental
 from ramclass.quadratic import (
     ENUMERATION_CAP,
@@ -136,6 +137,18 @@ def test_segmented_ambiguous_matches_divisor_sweep_on_segments(lo, half_width):
     assert [int(c) for c in seg] == [ambiguous_count(-n) for n in range(lo, hi)]
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(quadratic.IMAGINARY_CLASSES + quadratic.REAL_CLASSES),
+       st.integers(0, 10 ** 4), st.integers(0, 300))
+def test_class_sieves_read_the_full_sieves_at_their_class(cls, lo, width):
+    r, m, _ = cls
+    hi = lo + width
+    first, stop = r + m * lo, r + m * hi
+    full = segmented_ambiguous(first, stop)[::m]
+    assert segmented_ambiguous(lo, hi, r, m).tolist() == full.tolist()
+    assert odd_squarefree(lo, hi, r, m).tolist() == odd_squarefree(first, stop)[::m].tolist()
+
+
 def test_ambiguous_counts_exact_for_every_n():
     # every n, not only fundamental |D|: b = 0, a = b and a = c share forms at n = 12, 16, 27, ...
     N = 3000
@@ -228,17 +241,45 @@ def test_scan_jobs_deterministic(monkeypatch):
 
 def test_scan_workers_bounded(monkeypatch, serial_pool):
     monkeypatch.setattr(quadratic, "SEGMENT", 997)
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
     ck = [100, 1000, 5000]
     want = moment_scan(ck)
     assert serial_pool == []  # jobs = 1 runs in-process
-    assert moment_scan(ck, jobs=10 ** 6) == want  # 21 segments, 3 CPUs
-    rank_probability_scan([1000], 1, order="absdisc", jobs=10 ** 6)  # 2 segments
+    assert moment_scan(ck, jobs=10 ** 6) == want  # 5 class windows (2 + 1 + 2), 4 CPUs
+    rank_probability_scan([1000], 1, order="absdisc", jobs=10 ** 6)  # 3 class windows
     rank_probability_scan(ck, 1, jobs=2)
-    assert serial_pool == [3, 2, 2]
+    assert serial_pool == [4, 3, 2]
     monkeypatch.setattr(os, "cpu_count", lambda: None)
     assert moment_scan(ck, jobs=8) == want
-    assert serial_pool == [3, 2, 2]  # unknown CPU count: in-process
+    assert serial_pool == [4, 3, 2]  # unknown CPU count: in-process
+
+
+def _grid_from_records(checkpoints, order):
+    """(checkpoint, rk2) counts from is_fundamental, radical and ambiguous_count, n by n."""
+    top = checkpoints[-1] * (4 if order == "radical" else 1)
+    cells = []
+    for n in range(3, top):
+        if is_fundamental(-n):
+            key = radical(n) if order == "radical" else n
+            rk2 = ambiguous_count(-n).bit_length() - 1
+            cells.append((key, rk2))
+    keys, rk2 = np.array(cells).T
+    below = keys[None, :] < np.array(checkpoints)[:, None]
+    return np.stack([(below & (rk2 == v)).sum(axis=1) for v in range(16)], axis=1)
+
+
+@pytest.mark.parametrize("segment", [quadratic.SEGMENT, 997])
+@pytest.mark.parametrize("order", SCAN_ORDERS)
+def test_scan_grid_exact_at_every_x_to_3000(monkeypatch, segment, order):
+    monkeypatch.setattr(quadratic, "SEGMENT", segment)
+    first = 3 if order == "radical" else 4  # the first x with a field below it: -4 or -3
+    with pytest.raises(EmptyRange):
+        quadratic._scan([first - 1], order)
+    checkpoints = list(range(first, 3001))
+    _, counts, grid = quadratic._scan(checkpoints, order)
+    want = _grid_from_records(checkpoints, order)
+    assert np.array_equal(grid, want)
+    assert np.array_equal(counts, want.sum(axis=1))
 
 
 def test_scan_absdisc_order():
