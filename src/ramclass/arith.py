@@ -5,6 +5,9 @@ package: the prime sieve, the prime counts per residue class at the floor
 values of n, the one strided-count loop behind the squarefree, omega and
 ambiguous-form sieves (and the map that cuts its progressions to one residue
 class), trial division, Miller-Rabin and invariant factors.
+The two sieves over all of [0, x) hold about one byte per n: the prime sieve
+keeps one flag per odd n only, and the omega sieve keeps its int8 counts and
+no cofactor array, counting the one prime above sqrt(x) by its cofactor.
 The engines import them from here.  The independent oracles that test them
 (``dirichlet.segmented_primes``, ``quadratic.reduced_forms``, ...) stay with
 their engines on purpose.
@@ -20,15 +23,24 @@ from .errors import CapExceeded
 
 
 def sieve_primes(limit: int) -> np.ndarray:
-    """All primes below ``limit``, ascending, by the sieve of Eratosthenes."""
+    """All primes below ``limit``, ascending, by the sieve of Eratosthenes on odd n.
+
+    One flag per odd n: flag i stands for 2i + 1, so the sieve holds limit // 2
+    bytes.  Flag 0, for n = 1, is left set and becomes the prime 2, so the primes
+    are made in place from the one array of flag indices.
+    """
     if limit <= 2:
         return np.zeros(0, dtype=np.int64)
-    flags = np.ones(limit, dtype=bool)
-    flags[:2] = False
-    for p in range(2, int(limit ** 0.5) + 1):
-        if flags[p]:
-            flags[p * p::p] = False
-    return np.flatnonzero(flags).astype(np.int64, copy=False)
+    flags = np.ones(limit // 2, dtype=bool)
+    for i in range(1, (math.isqrt(limit - 1) + 1) // 2):
+        if flags[i]:
+            p = 2 * i + 1
+            flags[p * p // 2::p] = False
+    primes = np.flatnonzero(flags).astype(np.int64, copy=False)
+    primes *= 2
+    primes += 1
+    primes[0] = 2
+    return primes
 
 
 def prime_counts_mod(n: int, e: int) -> dict[int, np.ndarray]:
@@ -115,19 +127,22 @@ def segmented_squarefree(lo: int, hi: int) -> np.ndarray:
 def omega_sieve(limit: int) -> np.ndarray:
     """omega(n), the number of distinct prime divisors, for every n < limit.
 
-    Primes up to sqrt(limit) are counted as progressions p, 2p, ... and
-    divided out of a running cofactor; a cofactor above 1 is the one prime
-    left over.  omega(0) reads 0.
+    Primes p up to isqrt(limit - 1) are counted as progressions p, 2p, ....
+    Any other prime q dividing n < limit has q * q >= limit, so it is the only
+    one, and n = q * m with m < q: for each cofactor m, one vectorised step
+    counts every such q with q * m < limit.  No cofactor array is kept, so the
+    sieve holds one byte per n besides the primes.  omega(0) reads 0.
     """
-    primes = sieve_primes(math.isqrt(max(limit - 1, 0)) + 1).tolist()
-    omega = progression_counts(0, limit, [(p, p) for p in primes])
-    rem = np.arange(limit, dtype=np.int32)
-    for p in primes:
-        pk = p
-        while pk < limit:
-            rem[pk::pk] //= p
-            pk *= p
-    omega += rem > 1
+    primes = sieve_primes(limit)
+    split = int(np.searchsorted(primes, math.isqrt(max(limit - 1, 0)), side="right"))
+    omega = progression_counts(0, limit, [(p, p) for p in primes[:split].tolist()])
+    large = primes[split:]
+    multiples = np.empty_like(large)  # reused by every step: no product array per step
+    m = 1
+    while len(large) and m * int(large[0]) < limit:
+        k = int(np.searchsorted(large, (limit - 1) // m, side="right"))
+        omega[np.multiply(large[:k], m, out=multiples[:k])] += 1
+        m += 1
     return omega
 
 

@@ -27,7 +27,7 @@ SUMMATORY_CAP = 10 ** 7
 
 
 class PrimeSieve:
-    """Eratosthenes sieve holding all primes below ``limit``."""
+    """All primes below ``limit``, from ``arith.sieve_primes``."""
 
     def __init__(self, limit: int):
         if limit < 2:
@@ -260,8 +260,12 @@ def summatory_oracle(kind: str, x: int, **params) -> float:
     if kind == "ones":
         return float(x - 1)
     if kind == "squarefree_2_omega":
-        tally = np.bincount(omega_sieve(x)[segmented_squarefree(0, x)])
-        return float(sum(int(count) << w for w, count in enumerate(tally)))
+        # omega(n) + 1 on squarefree n and 0 elsewhere, built in place and tallied
+        # per value: a masked copy, or bincount's cast to int64, costs more than the sieve
+        shifted = omega_sieve(x)
+        shifted += 1
+        shifted *= segmented_squarefree(0, x)
+        return float(sum(np.count_nonzero(shifted == w + 1) << w for w in range(int(shifted.max()))))
     if kind in ("squarefree_ap_product", "custom"):
         if kind == "squarefree_ap_product":
             m = params.get("m")

@@ -137,10 +137,18 @@ def _class_fields(lo: int, hi: int, cls) -> tuple[np.ndarray, np.ndarray, np.nda
 
 
 def _fundamentals(lo: int, hi: int, signs: str) -> tuple[np.ndarray, np.ndarray]:
-    """Fundamental D with |D| in [lo, hi) and their radicals, as int64 arrays, by class."""
+    """Fundamental D with |D| in [lo, hi) and their radicals, as int64 arrays, by class.
+
+    A class in both tables (8 mod 16) is sieved once and gives both signs.
+    """
     tables = [(-1, IMAGINARY_CLASSES)] + [(1, REAL_CLASSES)] * (signs == "both")
-    parts = [(sign * n[n > 1], P[n > 1]) for sign, classes in tables for r, m, d in classes
-             for _, n, P in [_class_fields(-((r - lo) // m), -((r - hi) // m), (r, m, d))]]
+    signs_of: dict[tuple[int, int, int], list[int]] = {}
+    for sign, classes in tables:
+        for cls in classes:
+            signs_of.setdefault(cls, []).append(sign)
+    parts = [(sign * n[n > 1], P[n > 1]) for (r, m, d), class_signs in signs_of.items()
+             for _, n, P in [_class_fields(-((r - lo) // m), -((r - hi) // m), (r, m, d))]
+             for sign in class_signs]
     return np.concatenate([D for D, _ in parts]), np.concatenate([P for _, P in parts])
 
 

@@ -86,6 +86,33 @@ def test_omega_sieve_matches_trial_division(limit, data):
     assert np.array_equal(omega_sieve(shorter), omega[:shorter])
 
 
+def _omega_slow(limit):
+    return [0, 0][:limit] + [len(prime_factors(n)) for n in range(2, limit)]
+
+
+def test_omega_sieve_exact_at_every_small_limit():
+    # the whole array at every limit, so every small/large split below 1500 is crossed
+    want = _omega_slow(1500)
+    for limit in range(1500):
+        assert omega_sieve(limit).tolist() == want[:limit], limit
+
+
+def test_omega_sieve_exact_around_prime_squares():
+    # at p * p - 1, p * p and p * p + 1 the prime p crosses isqrt(limit - 1), and the
+    # last cofactor step has m * q just below the limit
+    want = _omega_slow(97 * 97 + 2)
+    for p in sieve_primes(100).tolist():
+        for limit in (p * p - 1, p * p, p * p + 1):
+            assert omega_sieve(limit).tolist() == want[:limit], limit
+
+
+def test_sieve_primes_exact():
+    for limit in range(2000):
+        assert sieve_primes(limit).tolist() == segmented_primes(0, limit), limit
+    assert len(sieve_primes(10 ** 7)) == 664_579
+    assert len(sieve_primes(10 ** 8)) == 5_761_455
+
+
 @given(st.integers(0, 5000), st.integers(1, 1500), st.data())
 def test_segmented_squarefree_matches_trial_division(lo, width, data):
     hi = lo + width

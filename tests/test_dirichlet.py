@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ramclass.arith import is_squarefree, omega
 from ramclass.dirichlet import (
     SINGULARITY_IDENTITY,
     APClass,
@@ -235,6 +236,15 @@ def test_summatory_2_omega_window_and_stabilization():
     ratio7 = s7 / (10 ** 7 * math.log(10 ** 7))
     assert abs(ratio6 - ratio5) / ratio5 < 0.1
     assert abs(ratio7 - ratio5) / ratio5 < 0.1
+
+
+def test_summatory_2_omega_exact():
+    assert [summatory_oracle("squarefree_2_omega", x) for x in (10 ** 5, 10 ** 6, 10 ** 7)] \
+        == [414_813, 4_808_081, 54_684_335]
+    # every x <= 2000 against 2^omega(n) summed over squarefree n < x by trial division
+    terms = [1 << omega(n) if is_squarefree(n) else 0 for n in range(2000)]
+    for x in range(2001):
+        assert summatory_oracle("squarefree_2_omega", x) == sum(terms[:x]), x
 
 
 def test_summatory_harmonic_ratio():
