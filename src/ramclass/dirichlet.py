@@ -280,13 +280,24 @@ def summatory_oracle(kind: str, x: int, **params) -> float:
         r = params.get("r")
         values = np.zeros(x, dtype=np.float64)
         values[1] = 1.0
-        for p in map(int, sieve_primes(x)):
+        primes = sieve_primes(x)
+        split = int(np.searchsorted(primes, math.isqrt(x - 1), side="right"))
+        for p in primes[:split].tolist():
             w = weight(p)
             if w:
                 mult = np.arange(p, x, p)
                 # gather precedes scatter, so each squarefree support
                 # accumulates its product exactly once in ascending order
                 values[mult] += values[mult // p] * w
+        # a prime q above sqrt(x) is the largest prime of each n = q * c < x, and c < q,
+        # so values[c] is final: count every such q at once for each cofactor c
+        weights = np.array([weight(q) for q in primes[split:].tolist()], dtype=np.float64)
+        large, weights = primes[split:][weights != 0], weights[weights != 0]
+        c = 1
+        while len(large) and c * int(large[0]) < x:
+            k = int(np.searchsorted(large, (x - 1) // c, side="right"))
+            values[large[:k] * c] += values[c] * weights[:k]
+            c += 1
         mask = segmented_squarefree(0, x)
         if r is not None:
             mask &= omega_sieve(x) == r

@@ -10,9 +10,13 @@ of residue classes: D < 0 has |D| = 3 mod 4, 4 mod 16 or 8 mod 16, so each
 class n = r mod m is sieved alone over the index i = (n - r) / m, and
 enumeration, radical counts and scans read that table.  Scans over the family
 ordered by product of ramified primes (or by |D|) stop each class where its
-key reaches x, and walk it in windows of SEGMENT indices, so their memory is
-bounded by the window size, not by x; their time is not, so they stop at
-SCAN_CAP.  Each window gives one cumulative count grid over (checkpoint, rk2);
+key reaches x, and walk it in windows of SEGMENT indices.  A window holds a
+flag byte and an int16 ambiguous count per index (about 5 bytes per index at
+its peak) and no per-field array: the key grows with the index, so each
+checkpoint is an index bound, and the run between two bounds is tallied by
+rk2.  So their memory is bounded by the window size, not by x (36 MB peak RSS
+at x = 1e8); their time is not, so they stop at SCAN_CAP.  Each window gives
+one cumulative count grid over (checkpoint, rk2);
 --jobs only spreads the windows over worker processes, and the grids are
 exact integer sums, so the output is the same for every --jobs.
 """
@@ -21,7 +25,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -129,6 +132,15 @@ IMAGINARY_CLASSES = ((3, 4, 1), (4, 16, 2), (8, 16, 4))
 REAL_CLASSES = ((1, 4, 1), (12, 16, 2), (8, 16, 4))
 
 
+def _index_bound(x, cls, order: str = "absdisc"):
+    """The least index i of class (r, m, d) whose key reaches x: key < x iff i < this.
+
+    The key of n = r + m * i is n / d (radical order) or n, so it grows with i.
+    """
+    r, m, d = cls
+    return -((r - (d if order == "radical" else 1) * x) // m)
+
+
 def _class_fields(lo: int, hi: int, cls) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The i in [lo, hi) whose n = r + m * i no odd prime square divides, n and n / d."""
     r, m, d = cls
@@ -146,8 +158,8 @@ def _fundamentals(lo: int, hi: int, signs: str) -> tuple[np.ndarray, np.ndarray]
     for sign, classes in tables:
         for cls in classes:
             signs_of.setdefault(cls, []).append(sign)
-    parts = [(sign * n[n > 1], P[n > 1]) for (r, m, d), class_signs in signs_of.items()
-             for _, n, P in [_class_fields(-((r - lo) // m), -((r - hi) // m), (r, m, d))]
+    parts = [(sign * n[n > 1], P[n > 1]) for cls, class_signs in signs_of.items()
+             for _, n, P in [_class_fields(_index_bound(lo, cls), _index_bound(hi, cls), cls)]
              for sign in class_signs]
     return np.concatenate([D for D, _ in parts]), np.concatenate([P for _, P in parts])
 
@@ -184,11 +196,12 @@ def radical_counts_both_signs(x: int) -> np.ndarray:
 
 # -- segmented batch machinery ---------------------------------------------------
 
-# indices i per window of a class |D| = r + m * i.  It bounds the scan's memory; each window
-# repeats the O(sqrt(|D|)) strides of segmented_ambiguous, so smaller is slower.
+# indices i per window of a class |D| = r + m * i, at about 5 bytes each (a flag byte, an
+# int16 ambiguous count, a comparison mask): 2.5 MB, and 36 MB peak RSS for a scan to 1e8.
+# Each window repeats the O(sqrt(|D|)) strides of segmented_ambiguous, so smaller is slower.
 SEGMENT = 1 << 19
 # the largest checkpoint a moment or probability scan takes: time grows a little
-# faster than x, about 4 s at 1e8 and 66 s at 1e9 on one core (37 s with --jobs 2)
+# faster than x, about 3.2 s at 1e8 and 67 s at 1e9 on one core (34 s with --jobs 2)
 SCAN_CAP = 10 ** 9
 
 
@@ -209,23 +222,45 @@ def segmented_ambiguous(lo: int, hi: int, r: int = 0, m: int = 1) -> np.ndarray:
 _POWERS_OF_TWO = 1 << np.arange(16, dtype=np.int64)
 
 
-def _segment_fields(lo: int, hi: int, cls, order: str):
-    """Imaginary fundamental |D| = r + m * i, i in [lo, hi), of one class (r, m, d).
+def _rank2_histogram(amb: np.ndarray, fields: int) -> np.ndarray:
+    """hist[v] = entries of amb equal to 2^v, v < 16; amb is 0 off its `fields` fields.
 
-    Returns (absD, key, rk2) arrays; the key is the radical (or |D|).
+    Asserts that every field's count is a power of two: 0 or 3 matches no 2^v.
     """
-    i, n, P = _class_fields(lo, hi, cls)
-    mantissa, exponent = np.frexp(segmented_ambiguous(lo, hi, cls[0], cls[1])[i - lo])
-    assert (mantissa == 0.5).all(), "ambiguous count must be a power of two"
-    return n, P if order == "radical" else n, exponent - 1
+    hist = np.zeros(16, dtype=np.int64)
+    for v in range(int(amb.max(initial=0)).bit_length()):
+        hist[v] = np.count_nonzero(amb == 1 << v)
+    assert hist.sum() == fields, "ambiguous count must be a power of two"
+    return hist
+
+
+def _class_ambiguous(lo: int, hi: int, cls) -> tuple[np.ndarray, np.ndarray]:
+    """Field flags of the class window i in [lo, hi), and the ambiguous counts, 0 off the fields."""
+    r, m, _ = cls
+    fields = odd_squarefree(lo, hi, r, m)
+    amb = segmented_ambiguous(lo, hi, r, m)
+    amb *= fields  # in place: one int16 and one flag byte per index
+    return fields, amb
 
 
 def _tally_segment(args):
-    """Cumulative grid[j, v]: fields of the window with key < checkpoints[j] and rk2 = v."""
+    """Cumulative grid[j, v]: fields of the window with key < checkpoints[j] and rk2 = v.
+
+    The key grows with the index, so each checkpoint is an index bound, and the
+    window is tallied run by run between consecutive bounds.
+    """
     lo, hi, cls, order, checkpoints = args
-    _, key, rk2 = _segment_fields(lo, hi, cls, order)
-    cells = np.searchsorted(checkpoints, key, side="right") * 16 + rk2  # rk2 < 16
-    return np.bincount(cells, minlength=len(checkpoints) * 16).reshape(-1, 16).cumsum(axis=0)
+    fields, amb = _class_ambiguous(lo, hi, cls)
+    grid = np.zeros((len(checkpoints), 16), dtype=np.int64)
+    start, hist = lo, np.zeros(16, dtype=np.int64)
+    for j, x in enumerate(checkpoints):
+        end = min(max(_index_bound(x, cls, order), lo), hi)
+        if end > start:
+            run = slice(start - lo, end - lo)
+            hist = hist + _rank2_histogram(amb[run], np.count_nonzero(fields[run]))
+            start = end
+        grid[j] = hist
+    return grid
 
 
 def _scan(checkpoints, order: str = "radical", jobs: int = 1):
@@ -236,13 +271,14 @@ def _scan(checkpoints, order: str = "radical", jobs: int = 1):
     if max_key > SCAN_CAP:
         raise CapExceeded(f"x = {max_key} exceeds the scan cap {SCAN_CAP}")
     # each class stops at the first |D| whose key reaches max_key
-    tops = [(-((r - (d if order == "radical" else 1) * max_key) // m), (r, m, d))
-            for r, m, d in IMAGINARY_CLASSES]
-    tasks = [(lo, min(lo + SEGMENT, top), cls, order, checkpoints)
-             for top, cls in tops for lo in range(0, top, SEGMENT)]
+    tasks = [(lo, min(lo + SEGMENT, top), cls, order, checkpoints) for cls in IMAGINARY_CLASSES
+             for top in [_index_bound(max_key, cls, order)] for lo in range(0, top, SEGMENT)]
     workers = min(int(jobs), len(tasks), os.cpu_count() or 1)
     zero = np.zeros((len(checkpoints), 16), dtype=np.int64)  # a small x leaves no window
     if workers > 1:
+        # imported here, not at the top: multiprocessing adds about 2 MB and 0.03 s to
+        # the start-up of every command
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             grid = sum(pool.map(_tally_segment, tasks), zero)
     else:
@@ -271,11 +307,15 @@ def genus_sweep(max_abs_d: int) -> tuple[int, list[int]]:
     """Check the genus inequality on every imaginary fundamental |D| <= bound.
 
     Returns (number checked, violating discriminants by increasing |D|); rk2
-    comes from the ambiguous-form sieve, omega from the omega sieve.
+    comes from the ambiguous-form sieve, omega from the omega sieve.  With the
+    ambiguous count 2^rk2, the inequality says it is 2^omega or 2^(omega - 1).
     """
-    fields = [_segment_fields(0, -((r - max_abs_d - 1) // m), (r, m, d), "absdisc")
-              for r, m, d in IMAGINARY_CLASSES]
-    absd, rk2 = (np.concatenate([f[k] for f in fields]) for k in (0, 2))
-    w = omega_sieve(max_abs_d + 1)[absd]
-    bad = np.sort(absd[(rk2 < w - 1) | (rk2 > w)])
-    return len(absd), [-int(n) for n in bad]
+    w = omega_sieve(max_abs_d + 1)
+    checked, bad = 0, []
+    for cls in IMAGINARY_CLASSES:
+        r, m, _ = cls
+        fields, amb = _class_ambiguous(0, _index_bound(max_abs_d + 1, cls), cls)
+        checked += int(_rank2_histogram(amb, np.count_nonzero(fields)).sum())
+        power = 1 << w[r::m].astype(amb.dtype)
+        bad.append(r + m * np.flatnonzero(fields & (amb != power) & (amb != power >> 1)))
+    return checked, [-int(n) for n in np.sort(np.concatenate(bad))]

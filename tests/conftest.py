@@ -1,8 +1,8 @@
+import concurrent.futures
 import math
 
 import pytest
 
-from ramclass import quadratic
 from ramclass.abelian_fields import AbelianGroupSpec, count_stratified
 from ramclass.dirichlet import PrimeSieve
 from ramclass.quadratic import moment_scan, rank_probability_scan
@@ -54,5 +54,5 @@ def serial_pool(monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(quadratic, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     return sizes

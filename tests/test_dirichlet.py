@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ramclass.arith import is_squarefree, omega
+from ramclass.arith import is_squarefree, omega, omega_sieve, segmented_squarefree
 from ramclass.dirichlet import (
     SINGULARITY_IDENTITY,
     APClass,
@@ -264,6 +264,36 @@ def test_summatory_custom_matches_ap_product():
     got = summatory_oracle("custom", 500, weight=lambda p: 2.0 if p % 3 == 1 else 0.0, r=2)
     want = summatory_oracle("squarefree_ap_product", 500, m=3, class_values={1: 2.0}, r=2)
     assert got == want
+
+
+def _product_values_per_prime(x, weight):
+    """The product oracle's values[n], n < x, by one scatter per prime below x."""
+    values = np.zeros(x, dtype=np.float64)
+    values[1] = 1.0
+    for p in segmented_primes(0, x):
+        w = weight(p)
+        if w:
+            mult = np.arange(p, x, p)
+            values[mult] += values[mult // p] * w
+    return values
+
+
+@pytest.mark.parametrize("r", [None, 2])
+def test_summatory_ap_product_matches_per_prime_loop(r):
+    # bit for bit: the primes above sqrt(x) are counted by cofactor, the rest per prime
+    class_values = {1: 1.3, 3: 0.7}  # 2 has weight 0
+    weight = lambda p: class_values.get(p % 4, 0.0)
+    for top, xs in ((2000, range(2001)), (10 ** 5, [10 ** 5])):
+        values = _product_values_per_prime(top, weight)
+        mask = segmented_squarefree(0, top)
+        if r is not None:
+            mask &= omega_sieve(top) == r
+        mask[1] = r is None
+        for x in xs:
+            want = float(values[:x][mask[:x]].sum())
+            got = summatory_oracle("squarefree_ap_product", x, m=4, class_values=class_values, r=r)
+            assert got == want, x
+        assert summatory_oracle("custom", top, weight=weight, r=r) == want
 
 
 def test_summatory_bounded_shift_keeps_exponents():

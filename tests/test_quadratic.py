@@ -1,4 +1,5 @@
 import os
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -280,6 +281,47 @@ def test_scan_grid_exact_at_every_x_to_3000(monkeypatch, segment, order):
     want = _grid_from_records(checkpoints, order)
     assert np.array_equal(grid, want)
     assert np.array_equal(counts, want.sum(axis=1))
+
+
+# the keys in [4, 600] that imaginary fundamental |D| have, as radicals or as |D|
+_FIELD_KEYS = {order: sorted({key for n in range(3, 2400) if is_fundamental(-n)
+                              for key in [radical(n) if order == "radical" else n] if 4 <= key <= 600})
+               for order in SCAN_ORDERS}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(SCAN_ORDERS), st.sampled_from([1, 2, 3, 16, 97, 997]), st.data())
+def test_scan_grid_matches_records_at_keys_and_duplicates(order, segment, data):
+    # checkpoints drawn freely, equal to field keys (a field counts only above its key)
+    # and repeated; every window size must give the same grid
+    free = data.draw(st.lists(st.integers(4, 600), min_size=1, max_size=5))
+    at_keys = data.draw(st.lists(st.sampled_from(_FIELD_KEYS[order]), max_size=5))
+    repeats = data.draw(st.lists(st.sampled_from(free + at_keys), max_size=3))
+    checkpoints = sorted(free + at_keys + repeats)
+    with patch.object(quadratic, "SEGMENT", segment):
+        got, counts, grid = quadratic._scan(checkpoints, order)
+    want = _grid_from_records(checkpoints, order)
+    assert got == checkpoints
+    assert np.array_equal(grid, want)
+    assert np.array_equal(counts, want.sum(axis=1))
+
+
+@pytest.mark.parametrize("bad", [0, 3])
+def test_scan_rejects_an_ambiguous_count_not_a_power_of_two(monkeypatch, bad):
+    real = quadratic.segmented_ambiguous
+
+    def corrupted(lo, hi, r=0, m=1):
+        counts = real(lo, hi, r, m)
+        fields = np.flatnonzero(odd_squarefree(lo, hi, r, m))
+        counts[fields[len(fields) // 2]] = bad  # a field's count
+        return counts
+
+    monkeypatch.setattr(quadratic, "segmented_ambiguous", corrupted)
+    for order in SCAN_ORDERS:
+        with pytest.raises(AssertionError, match="power of two"):
+            quadratic._scan([1000], order)
+    with pytest.raises(AssertionError, match="power of two"):
+        genus_sweep(1000)
 
 
 def test_scan_absdisc_order():
