@@ -6,17 +6,18 @@ ramified support multiplies to n.  Local budgets are tabulated per prime
 (tame: one map per element of order dividing p-1; wild: tame character times
 a map from the pro-p line), and joint surjectivity is enforced by Moebius
 inversion over the subgroup lattice.  Subgroups with the same local data are
-merged into one term, and the counter walks the squarefree supports once for
-all terms.  Primes enter by residue class mod the exponent e: the walk's
-primes, those below sqrt(x), come from one sieve to sqrt(x), and every
-larger prime is only counted, from one table of pi(y; e, c) at the floor
-values y of x - 1 per checkpoint (arith.prime_counts_mod), so memory is
-O(phi(e) sqrt(x)).  A wild prime p divides e, so it is the only prime of its
-class p mod e and needs no path of its own.  enumerate_records and
-brute_force_total sieve every integer below x; they are the slow, independent
-checks of that walk.  The
-lattice is listed by joining cyclic subgroups, its Moebius function comes
-from P. Hall's closed form for abelian groups, and it is built once per group.
+merged into one term.  Primes enter by residue class mod the exponent e.
+Each distinct checkpoint x is counted by one recursion over the floor values
+v of x - 1, the second phase of the Min_25 sieve: it starts from the tables
+of pi(v; e, c) (arith.prime_counts_mod, Lucy's form of Legendre's sieve, as
+in Deleglise and Rivat, Math. Comp. 65, 1996) and adds the supports by
+their least prime, over the primes below sqrt(x), sieved once for all
+checkpoints; memory is O((phi(e) + r) sqrt(x)).  A wild prime p divides e,
+so it is the only prime of its class p mod e and enters as [v >= p].
+enumerate_records and brute_force_total sieve every integer below x; they
+are the slow, independent checks of that recursion.  The lattice is listed
+by joining cyclic subgroups, its Moebius function comes from P. Hall's
+closed form for abelian groups, and it is built once per group.
 """
 
 from __future__ import annotations
@@ -24,19 +25,19 @@ from __future__ import annotations
 import functools
 import math
 import os
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product as _iproduct
+from itertools import count as _icount, product as _iproduct
 
 import numpy as np
 
-from .arith import (euler_phi, invariant_factors, prime_counts_mod, prime_factors, sieve_primes,
-                    valuation)
+from .arith import (euler_phi, floor_values, invariant_factors, is_prime, prime_counts_mod,
+                    prime_factors, sieve_primes, valuation)
 from .errors import CapExceeded, EmptyRange, NotClosed, TamePrime, WildPrime
 
 DEFAULT_ORDER_CAP = 64
 RECORD_MODE_CAP = 10 ** 6
+BLOCK = 4096  # floor values per update step: its temporaries stay this small
 
 Element = tuple[int, ...]
 
@@ -240,109 +241,57 @@ def _hit(group: AbelianGroupSpec, g: Element, omega, semantics: str) -> bool:
     return bool(group.cyclic_subgroup(g) & omega)
 
 
-def _setup_counts(checkpoints, r_max, setups, class_primes):
-    """Cumulative per-(r, checkpoint) pair counts, summed over the Moebius terms.
+def _checkpoint_counts(x, r_max, setups, exponent, primes, dtype):
+    """Pair counts below x by row r = 0..r_max and the spill row, summed over the terms.
 
-    Rows r = 0..r_max, then one spill row for every r > r_max, so the column
-    sums are the count with the indicator ignored.  One depth-first walk over
-    squarefree supports in ascending prime order serves every term: a node
-    carries one weight row per term still alive on it, starting at the term's
-    mu, and each support adds the sum over terms.  Every prime, wild ones
-    included (each is alone in its class), enters through its residue class.
-    Only primes p with p * p < x can be extended, so they alone make up the
-    walk; every prime that can only close a support is counted in bulk per
-    class, and a support has at most one prime >= sqrt(x), so none is counted
-    twice.  A bulk count reads pi(y; e, c) at y = (x - 1) // prod: below the
-    root of the largest checkpoint by bisecting the class primes, and from
-    there on in the floor-value table of x - 1, one per distinct checkpoint.
-    A wild prime's class is always bisected.
+    Over the floor values v of n = x - 1, S(v) sums the weight f(m) of every
+    support 1 < m <= v, a row polynomial: f(p) = b + a t for a prime p whose
+    class has a hits and b misses, where t moves a count one row up and the
+    spill row keeps every count that reaches it.  S starts as the prime sums,
+    from the pi(v; e, c) table of n, a wild prime p counting [v >= p].  Then
+    the primes p <= sqrt(n) add the supports whose least prime is p, from the
+    largest p down: S(v) += f(p) (S(v // p) - S(p)) for v >= p * p, since
+    S(v // p) - S(p) then sums the supports above 1 of primes > p.  Blocks of
+    BLOCK floor values go from the largest v down, and each reads S at
+    v // p < v, where no block has written yet.  The counts, as Python ints,
+    are sum(mu S(n)), plus mu in row 0 for the empty support.
     """
-    n_ck = len(checkpoints)
-    xmax = checkpoints[-1]
-    root_break = math.isqrt(xmax - 1) + 1  # the least p with p * p >= xmax
-    # a y >= root_break is (x - 1) // prod for some prod <= sqrt(x - 1), so it
-    # is the table entry (x - 1) // y - 1
-    tables = {x: prime_counts_mod(x - 1, class_primes.exponent)
-              for x in set(checkpoints) if x - 1 >= root_break}
-    universe = []  # (p, index into class_lists) for the class primes below root_break
-    class_lists = []  # (primes, top, per-checkpoint table or None, per-term (hit, miss))
-    for j, c in enumerate(sorted(set().union(*(class_ab for _, class_ab in setups)))):
-        ab = tuple(class_ab.get(c, (0, 0)) for _, class_ab in setups)
-        primes = class_primes[c]
-        universe.extend((p, j) for p in primes[:np.searchsorted(primes, root_break)].tolist())
-        counts = [tables.get(x, {}).get(c) for x in checkpoints]
-        top = int(primes[-1]) if len(primes) else 0  # the largest prime a count can reach
-        if any(table is not None for table in counts):
-            top = xmax  # the tables reach past the class primes
-        class_lists.append((primes.tolist(), top, counts, ab))
-    universe.sort(key=lambda entry: entry[0])
-    n_universe, n_classes = len(universe), len(class_lists)
-    rows = r_max + 2
-    # a hit moves a support one row up; the spill row absorbs every r > r_max
-    up = list(range(1, rows)) + [rows - 1]
-    bucket = [[0] * n_ck for _ in range(rows)]
-
-    def step(weights, ab):
-        """The live terms' rows after one more prime of (hit, miss) counts ab."""
-        out = []
-        for t, row in weights:
-            a, b = ab[t]
-            if a or b:
-                new = [x * b for x in row]
-                if a:
-                    for r, x in enumerate(row):
-                        new[up[r]] += x * a
-                out.append((t, new))
-        return out
-
-    def deposit(k, weights, scale=1):
-        for _, row in weights:
-            for r, x in enumerate(row):
-                bucket[r][k] += x * scale
-
-    def dfs(start, prod, weights):
-        k = bisect_right(checkpoints, prod)
-        if k < n_ck:
-            deposit(k, weights)
-        # the rows after one more prime, by class: the same for every prime of it
-        stepped = [None] * n_classes
-        i = start
-        while i < n_universe:
-            p, j = universe[i]
-            if prod * p * p >= xmax:
-                break
-            new = stepped[j]
-            if new is None:
-                new = stepped[j] = step(weights, class_lists[j][3])
-            if new:
-                dfs(i + 1, prod * p, new)
-            i += 1
-        # bulk zone: no prime from v_break on can be extended further; the
-        # class primes left out of the universe start at root_break
-        v_break = universe[i][0] if i < n_universe else root_break
-        # the checkpoints from k0 on have (x - 1) // prod >= v_break
-        k0 = bisect_right(checkpoints, v_break * prod)
-        if k0 == n_ck:
-            return
-        ys = [(x - 1) // prod for x in checkpoints[k0:]]
-        for j, (primes, top, counts, ab) in enumerate(class_lists):
-            if top < v_break:
+    n, rows = x - 1, r_max + 2
+    column = [0] * rows
+    if n < 1:
+        return column
+    column[0] = sum(mu for mu, _ in setups)
+    table = prime_counts_mod(n, exponent)
+    values = floor_values(n)
+    size, small_top, ascending = len(values), n // math.isqrt(n), -values
+    wild = {p % exponent: p for p in prime_factors(exponent)}
+    walk = primes[:np.searchsorted(primes, math.isqrt(n), side="right")].tolist()[::-1]
+    for mu, class_ab in setups:
+        S = np.zeros((rows, size), dtype=dtype)
+        for c, (a, b) in class_ab.items():
+            primes_to_v = (values >= wild[c] if c in wild else table[c]).astype(dtype, copy=False)
+            S[0] += b * primes_to_v
+            S[1] += a * primes_to_v
+        for p in walk:
+            if (ab := class_ab.get(p % exponent)) is None:
                 continue
-            prev = bisect_left(primes, v_break)
-            for k, y in enumerate(ys, k0):
-                table = counts[k]
-                # Python ints: the mu-weighted rows may pass the int64 range
-                hi = (bisect_right(primes, y) if y < root_break or table is None
-                      else table.item((checkpoints[k] - 1) // y - 1))
-                if hi > prev:
-                    if stepped[j] is None:
-                        stepped[j] = step(weights, ab)
-                    deposit(k, stepped[j], hi - prev)
-                    prev = hi
-
-    first = [0] * (rows - 1)
-    dfs(0, 1, [(t, [mu] + first) for t, (mu, _) in enumerate(setups)])
-    return [list(accumulate(row)) for row in bucket]
+            a, b = ab
+            at_p = size - p if p < small_top else n // p - 1
+            top = int(np.searchsorted(ascending, -p * p, side="right"))  # the v >= p * p
+            for lo in range(0, top, BLOCK):
+                q = values[lo:min(lo + BLOCK, top)] // p
+                d = S[:, np.where(q < small_top, size - q, n // q - 1)]
+                d -= S[:, at_p, None]
+                block = S[:, lo:lo + len(q)]
+                if b:
+                    block += d if b == 1 else b * d
+                if a:
+                    d *= a
+                    block[1:] += d[:-1]
+                    block[-1] += d[-1]
+        for r in range(rows):
+            column[r] += mu * int(S[r, 0])
+    return column
 
 
 def _build_setups(group, omega, semantics):
@@ -391,42 +340,46 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-class _ClassPrimes(dict):
-    """Sorted prime arrays by residue class mod ``exponent``: the primes below
-    the root of the largest checkpoint, and a wild prime whatever its size."""
+def _cell_bound(setups, exponent, xmax) -> int:
+    """An upper bound of every cell that _checkpoint_counts holds below xmax.
 
-    def __init__(self, exponent: int, classes: dict):
-        super().__init__(classes)
-        self.exponent = exponent
+    A cell sums fewer than xmax supports, each weighted by the product of its
+    primes' local map counts: at most 1 + w_p at a wild prime p with w_p
+    nontrivial maps, and at most h, the largest count at a tame prime, at each
+    of at most k tame primes, k the most primes whose product is below xmax.
+    """
+    wild = {p % exponent for p in prime_factors(exponent)}
+    weights = [(c, a + b) for _, class_ab in setups for c, (a, b) in class_ab.items()]
+    bound = xmax
+    for c in wild:
+        bound *= 1 + max((w for d, w in weights if d == c), default=0)
+    h = max((w for c, w in weights if c not in wild), default=1)
+    k, prod, p = 0, 2, 2
+    while prod < xmax:
+        k, p = k + 1, next(q for q in _icount(p + 1) if is_prime(q))
+        prod *= p
+    return bound * h ** k
 
 
-def _class_prime_lists(setups, exponent, xmax):
-    """The primes below sqrt(xmax) by the residue classes mod the exponent that
-    the terms use; a wild prime's class holds that prime alone."""
-    primes = sieve_primes(math.isqrt(xmax - 1) + 1)
-    residues = primes % exponent
-    wild = {p % exponent: p for p in prime_factors(exponent)}
-    used = set().union(*(class_ab for _, class_ab in setups))
-    return _ClassPrimes(exponent, {c: np.array([wild[c]], dtype=np.int64) if c in wild
-                                   else primes[residues == c] for c in used})
-
-
-def _memory_needed(checkpoints, exponent) -> int:
+def _memory_needed(checkpoints, exponent, rows, cell) -> int:
     """Bytes that count_stratified allocates at its peak, an upper bound.
 
-    The sieve below sqrt(xmax) (a flag byte per n, and an int64 per prime in
-    the sieve, the class arrays and their residues, with under 200 bytes per
-    prime for the walk's Python lists), as pi(s) < 1.26 s / log s (Rosser and
-    Schoenfeld); then phi(e) int64 tables of under 2 sqrt(x) + 1 entries per
-    distinct checkpoint x, and the build's temporaries: 2 phi(e) + 6 more
-    such rows for the largest table.  Only what grows with x is counted; the
-    subgroup lattice and the walk's weight rows stay a few MB below order 64.
+    The sieve below sqrt(xmax), a flag byte per two n, with an int64 and two
+    list entries per prime, as pi(s) < 1.26 s / log s (Rosser and Schoenfeld);
+    then, for the largest checkpoint x, at most 2 sqrt(x) + 1 floor values:
+    the phi(e) int64 table of pi(v; e, c), with 2 phi(e) + 6 such rows of
+    temporaries while it is built, the floor values and the prime sums that
+    start S; S itself, rows by floor values of ``cell`` bytes (8 in int64,
+    about 48 as a Python int); and per block, four S-sized rows by BLOCK and
+    six int64 index arrays.  Only what grows with x is counted; the subgroup
+    lattice stays a few MB below order 64.
     """
     s = math.isqrt(checkpoints[-1] - 1) + 1
     primes = int(1.26 * s / math.log(max(s, 3))) + 1
-    phi = euler_phi(exponent)
-    rows = [2 * math.isqrt(x) + 1 for x in set(checkpoints)]
-    return s + 224 * primes + 8 * (phi * sum(rows) + (2 * phi + 6) * max(rows))
+    size = 2 * math.isqrt(checkpoints[-1]) + 1
+    block = min(size, BLOCK)
+    return (s // 2 + 72 * primes + 8 * (3 * euler_phi(exponent) + 9) * size
+            + cell * rows * (size + 4 * block) + 48 * block)
 
 
 def count_stratified(group: AbelianGroupSpec, omega, checkpoints, r_max: int,
@@ -437,10 +390,11 @@ def count_stratified(group: AbelianGroupSpec, omega, checkpoints, r_max: int,
     Row r holds the counts for r = 0..r_max; one more row, index r_max + 1,
     holds every pair with more than r_max primes meeting Omega.  Each column
     therefore sums to the empty-Omega total N(S(G), P; x), from the same pass.
-    The primes below sqrt(max x) are sieved once, the larger ones are counted
-    from one floor-value table per checkpoint, and every Moebius term is
-    counted in one support walk.  Before anything is allocated, x > 2^63 and
-    an estimated peak above physical memory raise CapExceeded.
+    The primes below sqrt(max x) are sieved once; each distinct checkpoint is
+    counted by one floor-value recursion per Moebius term, in int64 while a
+    closed-form bound of every cell stays below 2^63 and in Python ints past
+    it.  Before the sieve, x > 2^63 and an estimated peak above physical
+    memory raise CapExceeded.
     """
     omega = _check_omega(group, omega)
     if semantics not in ("subgroup_meets_omega", "generator_in_omega"):
@@ -456,14 +410,19 @@ def count_stratified(group: AbelianGroupSpec, omega, checkpoints, r_max: int,
         raise CapExceeded(f"x = {xmax} exceeds cap {limit}")
     if xmax > 2 ** 63:
         raise CapExceeded(f"x = {xmax} is beyond the int64 prime-count tables (x <= 2^63)")
-    need, have = _memory_needed(checkpoints, group.exponent), _physical_memory()
+    setups = _build_setups(group, omega, semantics)
+    big = _cell_bound(setups, group.exponent, xmax) >= 2 ** 63
+    need = _memory_needed(checkpoints, group.exponent, r_max + 2, 48 if big else 8)
+    have = _physical_memory()
     if need > have:
-        raise CapExceeded(f"x = {xmax} needs {need / 2 ** 30:.1f} GiB of prime tables, "
+        raise CapExceeded(f"x = {xmax} needs {need / 2 ** 30:.1f} GiB of counting tables, "
                           f"more than the {have / 2 ** 30:.1f} GiB of physical memory")
 
-    setups = _build_setups(group, omega, semantics)
-    class_primes = _class_prime_lists(setups, group.exponent, xmax)
-    return _setup_counts(checkpoints, r_max, setups, class_primes)
+    primes = sieve_primes(math.isqrt(xmax - 1) + 1)
+    columns = {x: _checkpoint_counts(x, r_max, setups, group.exponent, primes,
+                                     object if big else np.int64)
+               for x in sorted(set(checkpoints))}
+    return [[columns[x][r] for x in checkpoints] for r in range(r_max + 2)]
 
 
 def enumerate_records(group: AbelianGroupSpec, omega, x: int,

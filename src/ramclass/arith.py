@@ -43,13 +43,25 @@ def sieve_primes(limit: int) -> np.ndarray:
     return primes
 
 
+def floor_values(n: int) -> np.ndarray:
+    """The distinct values of n // i for i >= 1, descending, as int64.
+
+    They are n // i for i = 1 .. isqrt(n), then n // isqrt(n) - 1 down to 1,
+    so a value v is at entry n // v - 1 when v >= n // isqrt(n), and at entry
+    len - v below that.  Empty for n < 1.
+    """
+    if n < 1:
+        return np.zeros(0, dtype=np.int64)
+    root = math.isqrt(n)
+    return np.concatenate([n // np.arange(1, root + 1, dtype=np.int64),
+                           np.arange(n // root - 1, 0, -1, dtype=np.int64)])
+
+
 def prime_counts_mod(n: int, e: int) -> dict[int, np.ndarray]:
     """pi(v; e, c) at every floor value v of n, for each class c prime to e.
 
-    The floor values are n // i for i = 1 .. isqrt(n), then n // isqrt(n) - 1
-    down to 1, so entry i - 1 holds pi(n // i; e, c) for i <= sqrt(n) and
-    entry len - v holds pi(v; e, c) for v <= sqrt(n).  Legendre's sieve in
-    Lucy's form: S(v, c) starts as the integers in [2, v] that are c mod e,
+    Entry j holds pi(v; e, c) for v = floor_values(n)[j].  Legendre's sieve
+    in Lucy's form: S(v, c) starts as the integers in [2, v] that are c mod e,
     and each prime p <= sqrt(n) not dividing e removes the multiples p * m
     with m free of primes below p, S(v, c) -= S(v // p, c / p) - S(p - 1, c / p)
     for v >= p * p, every class read before any is updated.  O(n^(3/4)) time
@@ -60,10 +72,9 @@ def prime_counts_mod(n: int, e: int) -> dict[int, np.ndarray]:
     classes = [c for c in range(e) if math.gcd(c, e) == 1]
     if n < 1:
         return {c: np.zeros(0, dtype=np.int64) for c in classes}
+    values = floor_values(n)
     root = math.isqrt(n)
     small_top = n // root  # the least of the n // i; the values below it are 1 .. small_top - 1
-    values = np.concatenate([n // np.arange(1, root + 1, dtype=np.int64),
-                             np.arange(small_top - 1, 0, -1, dtype=np.int64)])
     size, ascending = len(values), -values
     # the integers in [1, v] that are c mod e, less 1 itself in its class
     table = np.array([(values - c) // e - (-c) // e - (c == 1 % e) for c in classes])

@@ -286,13 +286,13 @@ def test_stratified_checkpoints_consistent():
 
 
 def test_engines_agree_randomized():
-    # the bulk DFS and the per-support enumerator are independent paths to
-    # the same counts; sweep groups, omega choices, semantics, checkpoints
+    # the floor-value recursion and the per-support enumerator are independent
+    # paths to the same counts; sweep groups, omega choices, semantics, checkpoints
     import random
 
     rng = random.Random(2024)
-    # C10 and C30 put a wild prime after admissible tame primes in the
-    # enumeration order, which exercises the bulk-zone wild handling
+    # C10 and C30 put a wild prime after admissible tame primes, so the
+    # recursion meets a wild prime between tame ones
     groups = [C2, C3, C4, V4, AbelianGroupSpec([6]), AbelianGroupSpec([2, 4]),
               AbelianGroupSpec([2, 5]), AbelianGroupSpec([2, 3, 5])]
     for trial in range(20):
@@ -354,7 +354,7 @@ def test_spill_row_completes_the_total(case):
 MERGE_CASES = [((2, 2, 2, 2), "subgroup_meets_omega")] + [
     (factors, semantics) for factors in [(4, 4), (2, 2, 4), (2, 8), (16,)]
     for semantics in ("subgroup_meets_omega", "generator_in_omega")]
-# squares and their neighbours: the walk's universe stops below sqrt of the top one;
+# squares and their neighbours: a checkpoint x recurses over the primes p <= sqrt(x - 1);
 # 17 * 19 = 323 < 18^2 is a two-prime support onto C16 and C2xC8 right at that edge
 MERGE_CHECKPOINTS = [1, 2, 4, 9, 10, 25, 48, 49, 50, 120, 121, 324, 2000]
 
@@ -376,17 +376,14 @@ def test_merged_terms_match_records(factors, semantics):
     assert strat == [[want(r, x) for x in MERGE_CHECKPOINTS] for r in range(r_max + 2)]
     k = MERGE_CHECKPOINTS.index(50)
     assert sum(row[k] for row in strat) == brute_force_total(group, 50)
-    # each checkpoint as the top of its own walk, so each one sets the universe
-    setups = abelian_fields._build_setups(group, omega, semantics)
-    class_primes = abelian_fields._class_prime_lists(setups, group.exponent,
-                                                     MERGE_CHECKPOINTS[-1])
+    # each checkpoint as the top of its own count, so each one sets the sieve
     for x in MERGE_CHECKPOINTS:
-        single = abelian_fields._setup_counts([x], r_max, setups, class_primes)
+        single = count_stratified(group, omega, [x], r_max, semantics=semantics)
         assert single == [[want(r, x)] for r in range(r_max + 2)], x
 
 
 # groups with a wild prime other than 2, so for x up to 60 each wild prime
-# is walked (p * p < x) at some tops and only closes supports at others
+# is recursed over (p * p < x) at some tops and only a prime sum at others
 WILD_CASES = [(factors, semantics) for factors in [(6,), (10,), (30,), (2, 6)]
               for semantics in ("subgroup_meets_omega", "generator_in_omega")]
 
@@ -400,16 +397,15 @@ def test_wild_primes_at_and_above_root(factors, semantics):
     for q in prime_factors(group.order):
         omega = group.omega_subset(q, math.inf)
         recs = enumerate_records(group, omega, tops[-1], semantics=semantics)
-        setups = abelian_fields._build_setups(group, omega, semantics)
-        class_primes = abelian_fields._class_prime_lists(setups, group.exponent, tops[-1])
         for x in tops:
             want = [[sum(rec.count for rec in recs if min(rec.r, r_max + 1) == r and rec.n < x)]
                     for r in range(r_max + 2)]
-            assert abelian_fields._setup_counts([x], r_max, setups, class_primes) == want, (q, x)
+            got = count_stratified(group, omega, [x], r_max, semantics=semantics)
+            assert got == want, (q, x)
 
 
 def test_one_sieve_and_one_walk_per_count(monkeypatch):
-    calls = {"sieve_primes": 0, "_setup_counts": 0}
+    calls = {"sieve_primes": 0, "_checkpoint_counts": 0}
     for name in calls:
         inner = getattr(abelian_fields, name)
 
@@ -418,11 +414,12 @@ def test_one_sieve_and_one_walk_per_count(monkeypatch):
             return _inner(*args)
 
         monkeypatch.setattr(abelian_fields, name, counted)
-    for factors, ck in (((3,), [10 ** 4, 10 ** 5]), ((2, 2, 2), [1000]), ((2, 4), [1, 500])):
+    for factors, ck in (((3,), [10 ** 4, 10 ** 5]), ((2, 2, 2), [1000]), ((2, 4), [1, 500, 500])):
         group = AbelianGroupSpec(factors)
         before = dict(calls)
         count_stratified(group, group.omega_subset(2 if group.order % 2 == 0 else 3, 1), ck, 2)
-        assert calls == {name: n + 1 for name, n in before.items()}, factors
+        assert calls == {"sieve_primes": before["sieve_primes"] + 1,
+                         "_checkpoint_counts": before["_checkpoint_counts"] + len(set(ck))}, factors
 
 
 
@@ -439,7 +436,7 @@ def test_memory_guard_before_the_sieve(monkeypatch):
     with pytest.raises(CapExceeded, match="physical memory"):
         count_stratified(C2, frozenset(), [10 ** 4], 0)
     assert sieved == []
-    # about 21 kB of sieve, walk lists and tables fit in 100 kB
+    # the estimate, about 47 kB for the sieve, tables and recursion, fits in 100 kB
     monkeypatch.setattr(abelian_fields, "_physical_memory", lambda: 10 ** 5)
     assert count_stratified(C2, frozenset(), [10 ** 4], 0)[0] == [want]
     assert sieved == [math.isqrt(10 ** 4 - 1) + 1]
@@ -466,3 +463,47 @@ def test_rows_to_1e9_match_the_sieve_path(factors, q, r_max):
     got = count_stratified(group, group.omega_subset(q, math.inf), PINNED_CHECKPOINTS, r_max,
                            cap=10 ** 9)
     assert got == PINNED_ROWS[factors, q, r_max]
+
+
+# rows past 1e9, from the support walk that counted before the floor-value recursion
+ROWS_AT_1E10 = {((2,), 2, 1): [3, 1159915176, 8972203182],
+                ((3,), 3, 2): [2, 774415018, 1727645628, 1821436416]}
+
+
+@pytest.mark.parametrize("factors, q, r_max", list(ROWS_AT_1E10), ids=["C2", "C3"])
+def test_rows_at_1e10(factors, q, r_max):
+    group = AbelianGroupSpec(factors)
+    got = count_stratified(group, group.omega_subset(q, math.inf), [10 ** 10], r_max,
+                           cap=10 ** 10)
+    assert [row[0] for row in got] == ROWS_AT_1E10[factors, q, r_max]
+
+
+C2_6 = AbelianGroupSpec([2] * 6)
+
+
+def test_counts_past_int64_are_exact():
+    # 63 maps at each tame prime and 4095 at 2 push one term's spill row past
+    # 2^63, so the recursion must count in Python ints; rows from the support walk
+    got = count_stratified(C2_6, C2_6.omega_subset(2, math.inf), [10 ** 8], 5, cap=10 ** 8)
+    assert [row[0] for row in got] == [0, 0, 0, 0, 54865657973145600, 1255730863920906240,
+                                       14789452373186641920]
+
+
+@pytest.mark.parametrize("group, x, r_max", [(C3, 10 ** 8, 2), (C2, 10 ** 9, 1),
+                                             (C2_6, 10 ** 6, 5)], ids=["C3", "C2", "C2^6"])
+def test_memory_estimate_bounds_the_traced_peak(group, x, r_max):
+    import tracemalloc
+
+    omega = group.omega_subset(2 if group.order % 2 == 0 else 3, math.inf)
+    subgroup_moebius(group)  # cached and independent of x, so outside the estimate
+    setups = abelian_fields._build_setups(group, omega, "subgroup_meets_omega")
+    big = abelian_fields._cell_bound(setups, group.exponent, x) >= 2 ** 63
+    assert big == (group is C2_6)
+    need = abelian_fields._memory_needed([x], group.exponent, r_max + 2, 48 if big else 8)
+    tracemalloc.start()
+    try:
+        count_stratified(group, omega, [x], r_max, cap=x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= need

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ramclass.arith import (
     class_progressions,
+    floor_values,
     invariant_factors,
     is_prime,
     omega_sieve,
@@ -42,6 +43,7 @@ def _check_prime_counts(n, e):
     assert sorted(table) == [c for c in range(e) if math.gcd(c, e) == 1]
     primes = sieve_primes(n + 1)
     values = np.array(_floor_values(n) if n else [], dtype=np.int64)
+    assert floor_values(n).dtype == np.int64 and floor_values(n).tolist() == values.tolist()
     for c, counts in table.items():
         assert counts.dtype == np.int64 and len(counts) == len(values)
         in_class = primes[primes % e == c]
