@@ -102,17 +102,6 @@ class AbelianGroupSpec:
                 out.append(g)
         return frozenset(out)
 
-    def is_closed_under_invertible_powering(self, omega) -> bool:
-        omega = frozenset(omega)
-        for g in omega:
-            gamma = self.element_order(g)
-            for a in range(2, gamma):
-                if math.gcd(a, gamma) == 1:
-                    powered = tuple((x * a) % d for x, d in zip(g, self.invariant_factors))
-                    if powered not in omega:
-                        return False
-        return True
-
 
 @dataclass(frozen=True)
 class SubgroupLattice:
@@ -230,7 +219,9 @@ def _check_omega(group: AbelianGroupSpec, omega) -> frozenset[Element]:
         raise NotClosed("omega must not contain the identity")
     if not omega <= set(group.elements()):
         raise NotClosed("omega contains elements outside the group")
-    if not group.is_closed_under_invertible_powering(omega):
+    # the invertible powers of g are the elements of <g> of the order of g
+    if any(h not in omega for g in omega for h in group.cyclic_subgroup(g)
+           if group.element_order(h) == group.element_order(g)):
         raise NotClosed("omega is not closed under invertible powering")
     return omega
 

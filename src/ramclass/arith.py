@@ -107,15 +107,22 @@ def progression_counts(lo: int, hi: int, progressions, dtype=np.int8) -> np.ndar
 def class_progressions(progressions, r: int, m: int) -> list[tuple[int, int]]:
     """The progressions (start, step) of n cut to the class n = r mod m, in i = (n - r) / m.
 
-    With g = gcd(step, m), a progression meets the class only if start = r mod g; it then
-    hits every (m / g)-th term from the first hit, one of the first m terms (m is small).
+    Terms repeat mod m after m steps, so a progression that meets the class has its first
+    hit among its first m terms (m is small) and then hits every (m / gcd(step, m))-th term.
     """
     start, step = np.asarray(progressions, dtype=np.int64).reshape(-1, 2).T
-    g = np.gcd(step, m)
-    meets = (start - r) % g == 0
-    start, step, g = start[meets], step[meets], g[meets]
-    k = np.argmax((start[:, None] + step[:, None] * np.arange(m) - r) % m == 0, axis=1)
-    return list(zip(((start + k * step - r) // m).tolist(), (step // g).tolist()))
+    small = np.min_scalar_type(2 * m)  # holds a residue plus a step, and the hit index k < m
+    residue, advance = ((start - r) % m).astype(small), (step % m).astype(small)
+    k = np.zeros(len(start), dtype=small)
+    found = residue == 0
+    for _ in range(m - 1):  # one pass over 1-D arrays per term: no (progressions x m) matrix
+        k += ~found
+        residue += advance
+        residue %= m
+        found |= residue == 0
+    start, step = start[found], step[found]
+    return list(zip(((start + k[found] * step - r) // m).tolist(),
+                    (step // np.gcd(step, m)).tolist()))
 
 
 def odd_squarefree(lo: int, hi: int, r: int = 0, m: int = 1) -> np.ndarray:

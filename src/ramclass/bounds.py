@@ -141,16 +141,28 @@ def _abelian_rank(profile: RamificationProfile, q: int) -> int:
     raise MissingAbelianRank(f"rk_{q} of the maximal abelian subextension required")
 
 
+def _typed(profile: RamificationProfile, q: int, l: int) -> list[RamifiedPrimeRecord]:
+    """The primes of type q^l: q^l divides e_K(p)."""
+    return [rec for rec in profile.primes if is_type(rec, q, l, profile.group)]
+
+
+def _bound_entry(key: str, count: int, budget: int, upper: bool = False) -> dict:
+    """count under key, and count - budget raw and clamped at zero; count also bounds above."""
+    raw = count - budget
+    entry = {key: count, "lower_bound_raw": raw, "lower_bound": max(raw, 0)}
+    if upper:
+        entry["upper_bound"] = count
+    return entry
+
+
 def genus_rank_lower_bound(profile: RamificationProfile, q: int, l: int = 1):
     """Genus-group bound: #{p of type q^l with p = 1 mod q} - rk_q Gal(K0/Q).
 
     Returns (raw, clamped, GenusData).
     """
     rank = _abelian_rank(profile, q)
-    count = sum(1 for rec in profile.primes
-                if is_type(rec, q, l, profile.group) and rec.p % q == 1)
-    raw = count - rank
-    return raw, max(raw, 0), genus_data(profile)
+    entry = _bound_entry("count", sum(rec.p % q == 1 for rec in _typed(profile, q, l)), rank)
+    return entry["lower_bound_raw"], entry["lower_bound"], genus_data(profile)
 
 
 def rz_lower_bound(profile: RamificationProfile, q: int, l: int = 1,
@@ -166,16 +178,8 @@ def rz_lower_bound(profile: RamificationProfile, q: int, l: int = 1,
         budget = inputs.total
     else:
         budget = 2 * (n - 1)
-    count = sum(1 for rec in profile.primes if is_type(rec, q, l, profile.group))
-    raw = count - budget
-    return {
-        "q": q,
-        "l": l,
-        "type_count": count,
-        "lower_bound_raw": raw,
-        "lower_bound": max(raw, 0),
-        "upper_bound": count,
-    }
+    return {"q": q, "l": l,
+            **_bound_entry("type_count", len(_typed(profile, q, l)), budget, upper=True)}
 
 
 def rz_relative_lower_bound(profile: RamificationProfile, q: int, l: int,
@@ -188,15 +192,7 @@ def rz_relative_lower_bound(profile: RamificationProfile, q: int, l: int,
     n = profile.degree if n is None else n
     if n < 1:
         raise InvalidInputs(f"the relative degree must be positive, got {n}")
-    count = sum(1 for rec in profile.primes if is_type(rec, q, l, profile.group))
-    raw = count - 2 * (n - 1)
-    return {
-        "q": q,
-        "l": l,
-        "type_count": count,
-        "lower_bound_raw": raw,
-        "lower_bound": max(raw, 0),
-    }
+    return {"q": q, "l": l, **_bound_entry("type_count", len(_typed(profile, q, l)), 2 * (n - 1))}
 
 
 # -- D4 -------------------------------------------------------------------------
@@ -206,7 +202,7 @@ def canonical_d4() -> PermGroup:
     return parse_group_spec("D4@S4").group
 
 
-def _d4_omegas(group: PermGroup):
+def _d4_omegas():
     sigma = Permutation.parse("(1 2 3 4)", 4)
     tau = Permutation.parse("(1 3)", 4)
     omega1 = frozenset({sigma, sigma ** 3, sigma * tau, sigma ** 3 * tau})
@@ -226,7 +222,7 @@ def d4_bounds(profile: RamificationProfile) -> dict:
     group = canonical_d4()
     if profile.group is None or frozenset(profile.group.elements) != frozenset(group.elements):
         raise WrongGroup("profile group must be the canonical D4 in S4")
-    omegas = _d4_omegas(group)
+    omegas = _d4_omegas()
     tallies = [0, 0, 0, 0]
     for rec in profile.primes:
         if rec.p == 2:
@@ -236,17 +232,8 @@ def d4_bounds(profile: RamificationProfile) -> dict:
         for i, omega in enumerate(omegas):
             if rec.inertia_class in omega:
                 tallies[i] += 1
-    report = {}
-    for i, tally in enumerate(tallies, start=1):
-        entry = {
-            "tally": tally,
-            "lower_bound_raw": tally - 6,
-            "lower_bound": max(tally - 6, 0),
-        }
-        if i in (1, 4):
-            entry["upper_bound"] = tally
-        report[f"omega{i}"] = entry
-    return report
+    return {f"omega{i}": _bound_entry("tally", tally, 6, upper=i in (1, 4))
+            for i, tally in enumerate(tallies, start=1)}
 
 
 def indicator_omega_r(profile: RamificationProfile, omega, r: int) -> bool:

@@ -36,8 +36,11 @@ def _frac(value) -> str:
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ParseError(f"cannot write {out_path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -90,10 +93,6 @@ def _checkpoints(text: str) -> list[int]:
 # -- group ------------------------------------------------------------------------
 
 
-def _beta_fraction(orders) -> Fraction:
-    return sum((Fraction(1, permgroup.euler_phi(o)) for o in orders), Fraction(0))
-
-
 def group_report(spec: str) -> dict:
     built = permgroup.parse_group_spec(spec)
     if isinstance(built, permgroup.DihedralStructure):
@@ -128,9 +127,7 @@ def group_report(spec: str) -> dict:
             complement = [g for g in nontrivial if g not in omega]
             report["betas"][f"beta_complement_{q}"] = permgroup.beta(group, complement)
     elif structure is not None:
-        orders_F = [structure.group.element_order[f]
-                    for f in structure.F if not f.is_identity()]
-        report["betas"]["beta_F"] = int(_beta_fraction(orders_F))
+        report["betas"]["beta_F"] = permgroup.weighted_beta(group, structure.F, lambda f: 1)
         nontrivial_h = frozenset(h for h in structure.H if not h.is_identity())
         report["betas"]["beta_F_H"] = permgroup.beta_F(structure, nontrivial_h)
         for q in primes:

@@ -159,10 +159,6 @@ class AsymptoticShape:
         return " * ".join(parts)
 
 
-def _delta_minus_one(value) -> int:
-    return 1 if value == -1 else 0
-
-
 def predicted_shape(kind: str, **params) -> AsymptoticShape:
     """Exponent pair predicted for a counting function.
 
@@ -182,7 +178,7 @@ def predicted_shape(kind: str, **params) -> AsymptoticShape:
         if params.get("omega_empty"):
             return AsymptoticShape(beta_c - 1, Fraction(0))
         r = need("r")
-        return AsymptoticShape(beta_c - 1, Fraction(r - _delta_minus_one(beta_c)))
+        return AsymptoticShape(beta_c - 1, Fraction(r - (1 if beta_c == -1 else 0)))
     if kind == "dihedral_upper":
         beta_fc = Fraction(need("beta_F_complement"))
         beta_f = Fraction(need("beta_F"))
@@ -221,19 +217,14 @@ def fit_asymptotic(rows, loglog_exp=None) -> FitResult:
     y = np.log(ns / xs)
     u = np.log(np.log(xs))
     v = np.log(np.log(np.log(xs)))
-    if loglog_exp is None:
-        design = np.column_stack([u, v, np.ones_like(u)])
-        if np.linalg.matrix_rank(design) < 3:
-            raise InsufficientData("degenerate design matrix")
-        sol, *_ = np.linalg.lstsq(design, y, rcond=None)
-        a, b, c = sol
-    else:
-        b = float(loglog_exp)
-        design = np.column_stack([u, np.ones_like(u)])
-        if np.linalg.matrix_rank(design) < 2:
-            raise InsufficientData("degenerate design matrix")
-        sol, *_ = np.linalg.lstsq(design, y - b * v, rcond=None)
-        a, c = sol
+    # a fixed b moves b log log log x to the left-hand side and out of the design
+    free = loglog_exp is None
+    design = np.column_stack([u, v, np.ones_like(u)] if free else [u, np.ones_like(u)])
+    if np.linalg.matrix_rank(design) < design.shape[1]:
+        raise InsufficientData("degenerate design matrix")
+    sol, *_ = np.linalg.lstsq(design, y if free else y - float(loglog_exp) * v, rcond=None)
+    a, c = sol[0], sol[-1]
+    b = sol[1] if free else float(loglog_exp)
     with np.errstate(over="ignore", invalid="ignore"):
         fitted = xs * np.exp(c) * np.log(xs) ** a * np.log(np.log(xs)) ** b
         max_rel = float(np.max(np.abs(fitted - ns) / ns))

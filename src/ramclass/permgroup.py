@@ -317,7 +317,7 @@ def closed_under_conjugation(group: PermGroup, omega) -> bool:
     return all(s * g * s.inverse() in omega for g in omega for s in group.generators)
 
 
-def _weighted_beta(group: PermGroup, omega, weight) -> int:
+def weighted_beta(group: PermGroup, omega, weight) -> int:
     """Sum of weight(h)/phi(ord(h)) over non-identity h in omega; NotClosed unless integral."""
     total = Fraction(0)
     for h in omega:
@@ -334,7 +334,7 @@ def beta(group: PermGroup, omega) -> int:
         raise NotAbelian("beta is defined for abelian groups")
     if not closed_under_invertible_powering(group, omega):
         raise NotClosed("omega is not closed under invertible powering")
-    return _weighted_beta(group, omega, lambda h: 1)
+    return weighted_beta(group, omega, lambda h: 1)
 
 
 class DihedralStructure:
@@ -389,7 +389,7 @@ def beta_F(structure: DihedralStructure, omega) -> int:
         raise NotClosed("omega is not closed under invertible powering")
     if not closed_under_conjugation(group, omega):
         raise NotClosed("omega is not closed under conjugation")
-    return _weighted_beta(group, omega, group.class_size)
+    return weighted_beta(group, omega, group.class_size)
 
 
 def h_p(structure: DihedralStructure, p: int, subset) -> int:

@@ -47,6 +47,12 @@ def test_group_bad_spec_exit_2(capsys):
     assert "error" in err
 
 
+def test_group_order_cap_exit_4(capsys):
+    code, out, err = run(capsys, "group", "S8")
+    assert code == 4 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
 def test_group_deterministic(capsys):
     _, out1, _ = run(capsys, "group", "A4@S6")
     _, out2, _ = run(capsys, "group", "A4@S6")
@@ -411,6 +417,17 @@ def test_bounds_d4(tmp_path, capsys):
     assert report["relative"]["type_count"] == 3
 
 
+def test_bounds_read_the_rank_off_an_abelian_group(tmp_path, capsys):
+    # no abelian_rank line: rk_2 of the maximal abelian subextension is the group's own
+    path = tmp_path / "klein.profile"
+    path.write_text("degree: 4\ngroup: C2xC2\n5: class=(1 2)(3 4)\n13: class=(1 3)(2 4)\n"
+                    "17: class=(1 4)(2 3)\n")
+    code, out, _ = run(capsys, "bounds", str(path), "--q", "2")
+    assert code == 0
+    genus = json.loads(out)["genus"]
+    assert genus["lower_bound_raw"] == 1 and genus["abelian_part"] == [2, 2, 2]
+
+
 def test_bounds_missing_file_exit_2(capsys):
     code, _, _ = run(capsys, "bounds", "/nonexistent.profile", "--q", "2")
     assert code == 2
@@ -475,12 +492,23 @@ def test_bounds_q_beyond_primality_range_exit_4(tmp_path, capsys):
     ["abelian", "C2xC4", "--checkpoints", "1e3", "--cap", "abc"],
     ["bounds", "{tmp}/good.profile", "--q", "3", "--relative", "0"],
     ["bounds", "{tmp}/good.profile", "--q", "3", "--relative", "-5"],
+    ["group", "C2", "--out", "{tmp}/no/such/dir/x.json"],
+    ["group", "S1"],
+    ["group", "D2@S2"],
+    ["bounds", "{tmp}/repeated_point.profile", "--q", "3"],
+    ["bounds", "{tmp}/class_first.profile", "--q", "3"],
+    ["bounds", "{tmp}/good.profile", "--q", "3", "--rz-inputs", "1,2"],
+    ["asymptotic", "predict", "--kind", "abelian", "--params", "beta_complement"],
+    ["abelian", "C3", "--checkpoints", "1e3", "--omega", "x:inf"],
+    ["asymptotic", "fit", "--csv", "{tmp}/missing.csv"],
 ])
 def test_user_errors_exit_2_with_one_line(tmp_path, capsys, argv):
     (tmp_path / "bad.csv").write_text("x,N\n1000,10\n1e4,many\n")
     (tmp_path / "good.csv").write_text("x,N\n1000,10\n1e4,90\n1e5,800\n1e6,7000\n")
     (tmp_path / "bad.profile").write_text("degree: four\n7: 3\n")
     (tmp_path / "good.profile").write_text("degree: 3\n7: 3\n")
+    (tmp_path / "repeated_point.profile").write_text("degree: 3\n7: class=(1 2 1)\n")
+    (tmp_path / "class_first.profile").write_text("7: class=(1 2 3)\ndegree: 3\n")
     code, _, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
     assert code == 2
     assert "Traceback" not in err

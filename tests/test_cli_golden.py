@@ -32,10 +32,55 @@ GOLDEN = [
      "c28cc2717b47fe69a9e800cd3f5ae8ff71daf30f50ac99ef6a299388be15d1c7"),
     ("quadratic fields --checkpoints 1e3 --order absdisc",
      "5da5640d69767ca67643799f2f69fe7c9d28012cc245c017b12568c789dd777e"),
+    ("group D4@S4", "3e3ac383c042b279699e716ae564586e10d186f8243396320c442741b1a5b221"),
+    ("group C2xC4", "1a4ec952a94640d5f61d4dedc1b6b95e7917e928477e8e85cd6c2815988dbcce"),
+    ("asymptotic predict --kind abelian --params beta_complement=-1,r=2",
+     "2df63a287f716fe5333e30477e1fa07dccc5d3d31413fadab97f0219f65d56f6"),
+]
+
+# inputs of the file-reading commands: the cubic and quartic profiles of the
+# benchmark's bounds workload, a D4 profile with a wild prime 2 and primes in
+# every inertia class of order 2 or 4, and the C3 counts with Omega = 3:inf, r = 2
+FILES = {
+    "cubic.profile":
+        "degree: 3\nabelian_rank: 3=1\n7: 3\n13: 3\n19: 3\n31: 3\n5: 1,2\n43: 3\n",
+    "quartic.profile":
+        "degree: 4\nabelian_rank: 2=1\n3: 2,2\n5: 4\n13: 2,1,1\n17: 2,2\n29: 4\n37: 4\n",
+    "d4.profile":
+        "degree: 4\ngroup: D4@S4\nabelian_rank: 2=2\n2: class=(1 2 3 4)\n3: class=(1 2 3 4)\n"
+        "5: class=(1 3)(2 4)\n7: class=(1 4)(2 3)\n11: class=(1 3)\n13: class=(1 4 3 2)\n",
+    "counts.csv":
+        "x,N\n10000,1988\n100000,21288\n1000000,210388\n10000000,2021156\n"
+        "100000000,19215088\n",
+}
+
+GOLDEN_FILES = [
+    ("bounds {tmp}/cubic.profile --q 3",
+     "d8c43bf1c9304106ce2e7d6ce230430c6c6adb37ee829df93d2ea58791528085"),
+    ("bounds {tmp}/cubic.profile --q 3 --relative 2 --rz-inputs 2,1,0",
+     "f17cbe4aae40b60ec107c92acb660ccd2d7340c092b25a5e74d525130d4b8b4c"),
+    ("bounds {tmp}/quartic.profile --q 2",
+     "6813782b14df3449db8560459d46d5ebcc058378fbe0ade2beb43b3551239a94"),
+    ("bounds {tmp}/quartic.profile --q 2 --l 2 --relative 4 --rz-inputs 3,2,1",
+     "09026eee5be358290649db83024fb8217d70839381ce4349909cfa39e6ededce"),
+    ("bounds {tmp}/d4.profile --q 2 --relative 4 --d4",
+     "312baee7dd5fc763ddfe643f3842f9066e86a115d1993423664cff7982034401"),
+    ("asymptotic fit --csv {tmp}/counts.csv",
+     "a2e6a31d198c49d5288f99dabbff5487d2bcceaaba516d9d9ca13845d76c8d20"),
+    ("asymptotic fit --csv {tmp}/counts.csv --loglog-exp 2",
+     "3231c2dc088bb6289f97894e8fbedc29f11a45986c33ed6a8c72514472fa2842"),
 ]
 
 
 @pytest.mark.parametrize("argv,digest", GOLDEN)
 def test_stdout_is_pinned(capsys, argv, digest):
     assert main(argv.split()) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,digest", GOLDEN_FILES)
+def test_stdout_on_files_is_pinned(tmp_path, capsys, argv, digest):
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+    assert main(argv.format(tmp=tmp_path).split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from ramclass.abelian_fields import AbelianGroupSpec
 from ramclass.errors import (
     CapExceeded,
     DegreeMismatch,
@@ -228,6 +229,14 @@ def test_parse_examples():
     assert parse_group_spec("S3").order == 6
     d5reg = parse_group_spec("D5@reg")
     assert d5reg.group.order == 10 and d5reg.group.degree == 10
+
+
+@pytest.mark.parametrize("spec", ["C2xC2", "C2xC4", "C4", "C3xC3", "C2xC2xC2"])
+def test_q_rank_counts_the_invariant_factors_divisible_by_q(spec):
+    factors = AbelianGroupSpec(cyclic_factors(spec)).invariant_factors
+    ranks = parse_group_spec(spec).q_rank()
+    assert ranks and all(rank == sum(1 for d in factors if d % q == 0)
+                         for q, rank in ranks.items())
 
 
 def test_parse_failures():
