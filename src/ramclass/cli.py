@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from fractions import Fraction
 
@@ -394,7 +395,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Write ``--loglog-exp -3/2`` as ``--loglog-exp=-3/2``.
+
+    argparse takes only plain negative numbers such as -1 or -0.5 for values;
+    it reads -3/2 as an option and stops with "expected one argument".
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--loglog-exp" and re.match(r"-\.?\d", arg):
+            out[-1] += f"={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
+    argv = _attach_negative_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse has printed the usage error or the help

@@ -4,6 +4,12 @@ Counting sides are exact sieve arithmetic; analytic sides evaluate the
 summatory main term attached to a Dirichlet-series singularity
 (s-1)^(-alpha) log^b(1/(s-1)) and fit the resulting x (log x)^e (log log x)^f
 shapes by least squares in (log log x, log log log x) coordinates.
+
+The summatory oracles are the exact counts those main terms are checked
+against.  The 2^omega oracle holds no array of length x: it sieves [0, x) in
+windows of SUMMATORY_WINDOW by the primes up to sqrt(x) and counts the one
+larger prime of each squarefree n from the prime counts at the floor values of
+x - 1 (``arith.prime_counts_mod``), in O(sqrt(x) + window) memory.
 """
 
 from __future__ import annotations
@@ -14,7 +20,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from .arith import euler_phi, omega_sieve, segmented_squarefree, sieve_primes
+from .arith import (
+    euler_phi,
+    omega_sieve,
+    prime_counts_mod,
+    progression_counts,
+    segmented_squarefree,
+    sieve_primes,
+)
 from .errors import (
     BadResidue,
     CapExceeded,
@@ -24,6 +37,7 @@ from .errors import (
 )
 
 SUMMATORY_CAP = 10 ** 7
+SUMMATORY_WINDOW = 2 ** 20  # the 2^omega oracle's window in n, sized by measurement
 
 
 class PrimeSieve:
@@ -81,14 +95,18 @@ def primes_in_ap(sieve: PrimeSieve, ap: APClass, x: int,
 def mertens_ap(sieve: PrimeSieve, ap: APClass, checkpoints):
     """Rows (x, S(x), S(x) - loglog(x)/phi(m)) for S(x) the sum of 1/p in the class.
 
-    Accumulation runs over primes in ascending order.
+    Accumulation runs over primes in ascending order, in place in one float array.
     """
     checkpoints = sorted(int(x) for x in checkpoints)
+    if not checkpoints:
+        raise ValueError("need at least one checkpoint")
+    if checkpoints[0] < 2:
+        raise ValueError("checkpoints must be at least 2")
     if checkpoints[-1] > sieve.limit:
         raise CapExceeded(f"checkpoint {checkpoints[-1]} beyond sieve limit")
     primes = sieve.primes[sieve.primes % ap.m == ap.n % ap.m]
-    inv = 1.0 / primes.astype(np.float64)
-    cumulative = np.cumsum(inv)
+    cumulative = np.reciprocal(primes, dtype=np.float64)
+    np.cumsum(cumulative, out=cumulative)
     phi = euler_phi(ap.m)
     rows = []
     for x in checkpoints:
@@ -243,6 +261,13 @@ def summatory_oracle(kind: str, x: int, **params) -> float:
     squarefree n); ``squarefree_ap_product`` (multiplicative over squarefree n
     with per-residue prime weights mod m, optionally fixed omega(n) = r);
     ``custom`` (per-prime weight function, the shifted-Euler-factor surrogate).
+
+    ``squarefree_2_omega`` splits at R = isqrt(x - 1).  A squarefree n < x has
+    at most one prime q > R, and then n = q * c with c <= R squarefree, so the
+    sum is that of 2^omega_R(n) (omega_R counting the primes <= R), taken over
+    windows of SUMMATORY_WINDOW n, plus 2^omega(c) (pi((x - 1) // c) - pi(R))
+    over squarefree c <= R.  Memory is O(sqrt(x) + SUMMATORY_WINDOW); the sum
+    is a Python int, made a float once.
     """
     if x > SUMMATORY_CAP:
         raise CapExceeded(f"x = {x} exceeds {SUMMATORY_CAP}")
@@ -251,12 +276,26 @@ def summatory_oracle(kind: str, x: int, **params) -> float:
     if kind == "ones":
         return float(x - 1)
     if kind == "squarefree_2_omega":
-        # omega(n) + 1 on squarefree n and 0 elsewhere, built in place and tallied
-        # per value: a masked copy, or bincount's cast to int64, costs more than the sieve
-        shifted = omega_sieve(x)
-        shifted += 1
-        shifted *= segmented_squarefree(0, x)
-        return float(sum(np.count_nonzero(shifted == w + 1) << w for w in range(int(shifted.max()))))
+        n = x - 1
+        root = math.isqrt(n)
+        small = sieve_primes(root + 1)
+        progressions = [(p, p) for p in small.tolist()]
+        total = 0
+        for lo in range(0, x, SUMMATORY_WINDOW):
+            hi = min(lo + SUMMATORY_WINDOW, x)
+            # omega_R(m) + 1 on squarefree m and 0 elsewhere, built in place and tallied
+            # per value: a masked copy, or bincount's cast to int64, costs 8 bytes per m
+            shifted = progression_counts(lo, hi, progressions)
+            shifted += 1
+            shifted *= segmented_squarefree(lo, hi)
+            total += sum(np.count_nonzero(shifted == w + 1) << w
+                         for w in range(int(shifted.max())))
+        # the one prime q > root of m = q * c, c <= root squarefree, doubles 2^omega(c):
+        # it is one of the pi(n // c) - pi(root) primes in (root, n // c]
+        weight = np.left_shift(1, omega_sieve(root + 1), dtype=np.int64)
+        weight *= segmented_squarefree(0, root + 1)
+        large = prime_counts_mod(n, 1)[0][:root] - len(small)
+        return float(total + int(weight[1:] @ large))
     if kind in ("squarefree_ap_product", "custom"):
         if kind == "squarefree_ap_product":
             m = params.get("m")

@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from importlib import resources
 
 import jsonschema
@@ -341,6 +342,19 @@ def test_fit_roundtrip(tmp_path, capsys):
     jsonschema.validate(report, load_schema("fit_report.schema.json"))
     assert abs(report["log_exp"] + 1) < 0.2
     assert abs(report["loglog_exp"] - 2) < 0.2
+
+
+@pytest.mark.parametrize("exponent", ["-3/2", "-1", "-.5"])
+def test_fit_negative_loglog_exp_as_separate_token(tmp_path, capsys, exponent):
+    path = tmp_path / "table.csv"
+    path.write_text("x,N\n1000,300\n10000,2500\n100000,21000\n1000000,180000\n")
+    outputs = []
+    for tail in (["--loglog-exp", exponent], [f"--loglog-exp={exponent}"]):
+        code, out, err = run(capsys, "asymptotic", "fit", "--csv", str(path), *tail)
+        assert code == 0 and err == ""
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[0])["loglog_exp"] == float(Fraction(exponent))
 
 
 def test_fit_two_rows_exit_5(tmp_path, capsys):

@@ -4,9 +4,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ramclass import dirichlet
 from ramclass.arith import is_squarefree, omega, omega_sieve, segmented_squarefree
 from ramclass.dirichlet import (
     SINGULARITY_IDENTITY,
+    SUMMATORY_CAP,
     APClass,
     AsymptoticShape,
     PrimeSieve,
@@ -74,6 +76,13 @@ def test_mertens_small(sieve):
 def test_mertens_constant_at_1e6(sieve):
     rows = mertens_ap(sieve, APClass(1, 1), [10 ** 6])
     assert rows[0][2] == pytest.approx(0.2615, abs=0.002)
+
+
+@pytest.mark.parametrize("checkpoints, message", [([1, 10 ** 3], "at least 2"),
+                                                  ([], "at least one checkpoint")])
+def test_mertens_rejects_bad_checkpoints(sieve, checkpoints, message):
+    with pytest.raises(ValueError, match=message):
+        mertens_ap(sieve, APClass(4, 1), checkpoints)
 
 
 def test_mertens_ap_stabilizes(sieve):
@@ -242,9 +251,45 @@ def test_summatory_2_omega_exact():
     assert [summatory_oracle("squarefree_2_omega", x) for x in (10 ** 5, 10 ** 6, 10 ** 7)] \
         == [414_813, 4_808_081, 54_684_335]
     # every x <= 2000 against 2^omega(n) summed over squarefree n < x by trial division
-    terms = [1 << omega(n) if is_squarefree(n) else 0 for n in range(2000)]
+    terms = _two_omega_terms(2000)
     for x in range(2001):
         assert summatory_oracle("squarefree_2_omega", x) == sum(terms[:x]), x
+
+
+def _two_omega_terms(top):
+    """2^omega(n) on squarefree n, 0 elsewhere, for n < top, by trial division."""
+    return [1 << omega(n) if is_squarefree(n) else 0 for n in range(top)]
+
+
+def test_summatory_2_omega_across_window_seams(monkeypatch):
+    # 64-wide windows put a seam every 64 n below every x <= 2000
+    monkeypatch.setattr(dirichlet, "SUMMATORY_WINDOW", 64)
+    prefix = np.cumsum([0] + _two_omega_terms(2000))
+    for x in range(2001):
+        assert summatory_oracle("squarefree_2_omega", x) == prefix[x], x
+
+
+@pytest.mark.parametrize("window", [64, dirichlet.SUMMATORY_WINDOW], ids=["64", "default"])
+def test_summatory_2_omega_where_the_root_changes(monkeypatch, window):
+    # from x = p^2 + 1 on, isqrt(x - 1) is the prime p, and p * p must not count as p times c = p
+    monkeypatch.setattr(dirichlet, "SUMMATORY_WINDOW", window)
+    primes = segmented_primes(0, 51)
+    prefix = np.cumsum([0] + _two_omega_terms(max(primes) ** 2 + 1))
+    for x in sorted({p * p + d for p in primes for d in (-1, 0, 1)}):
+        assert summatory_oracle("squarefree_2_omega", x) == prefix[x], x
+
+
+def test_summatory_2_omega_memory_at_the_cap():
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        summatory_oracle("squarefree_2_omega", SUMMATORY_CAP)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the windows and the O(sqrt x) tables, not the 20 MB that x-sized arrays take
+    assert peak <= 6 * 10 ** 6
 
 
 def test_summatory_harmonic_ratio():
