@@ -15,6 +15,7 @@ their engines on purpose.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -125,19 +126,36 @@ def class_progressions(progressions, r: int, m: int) -> list[tuple[int, int]]:
                     (step // np.gcd(step, m)).tolist()))
 
 
-def odd_squarefree(lo: int, hi: int, r: int = 0, m: int = 1) -> np.ndarray:
-    """Flags for n = r + m * i, i in [lo, hi), that no odd prime square divides; 0 is excluded."""
-    squares = sieve_primes(math.isqrt(max(r + m * (hi - 1), 0)) + 1)[1:] ** 2
-    flags = progression_counts(lo, hi, class_progressions(np.stack([squares] * 2, 1), r, m))
+def square_progressions(top: int, r: int = 0, m: int = 1) -> tuple[tuple[int, int], ...]:
+    """The multiples of the odd prime squares p^2 <= top as progressions of i, n = r + m * i.
+
+    The progressions (start, step) come ascending by start.  A caller that sieves
+    many windows of one range makes them once, for the range's largest n, and passes
+    them to each window.
+    """
+    squares = sieve_primes(math.isqrt(max(top, 0)) + 1)[1:] ** 2
+    return tuple(sorted(class_progressions(np.stack([squares] * 2, 1), r, m)))
+
+
+def odd_squarefree(lo: int, hi: int, r: int = 0, m: int = 1, squares=None) -> np.ndarray:
+    """Flags for n = r + m * i, i in [lo, hi), that no odd prime square divides; 0 is excluded.
+
+    squares: square_progressions(top, r, m) for a top >= r + m * (hi - 1), made here
+    if not given.  Only the progressions that start below hi are walked.
+    """
+    if squares is None:
+        squares = square_progressions(r + m * (hi - 1), r, m)
+    # (hi,) sorts before every progression (hi, step)
+    flags = progression_counts(lo, hi, squares[:bisect.bisect_left(squares, (hi,))])
     flags = np.logical_not(flags, out=flags.view(bool))  # in place: one byte per n
     if r == lo == 0 < hi:
         flags[0] = False
     return flags
 
 
-def segmented_squarefree(lo: int, hi: int) -> np.ndarray:
-    """Squarefree flags for n in [lo, hi); 0 is not squarefree."""
-    flags = odd_squarefree(lo, hi)
+def segmented_squarefree(lo: int, hi: int, squares=None) -> np.ndarray:
+    """Squarefree flags for n in [lo, hi); 0 is not squarefree.  squares as in odd_squarefree."""
+    flags = odd_squarefree(lo, hi, squares=squares)
     flags[-lo % 4::4] = False
     return flags
 
@@ -207,6 +225,29 @@ def euler_phi(m: int) -> int:
     for p in prime_factors(m):
         result -= result // p
     return result
+
+
+def primitive_root(p: int, k: int = 1) -> int:
+    """The least primitive root g mod p, or g + p if g fails mod p^2: a generator mod p^k, p odd."""
+    g = next(g for g in range(2, p + 1)
+             if all(pow(g, (p - 1) // r, p) != 1 for r in prime_factors(p - 1)))
+    return g + p if k >= 2 and pow(g, p - 1, p * p) == 1 else g
+
+
+def unit_generators(m: int) -> list[int]:
+    """Exponents a mod m that generate the unit group (Z/m)^x; none for m <= 2.
+
+    (Z/m)^x is the product of the (Z/p^k)^x.  Each factor is generated by -1 and 5
+    for 2^k >= 8, by -1 for 4, and by a primitive root for odd p^k.  Each local
+    generator c is lifted by CRT to the a with a = c mod p^k and a = 1 mod m / p^k.
+    """
+    gens = []
+    for p in prime_factors(m):
+        k = valuation(m, p)
+        pk, rest = p ** k, m // p ** k
+        local = [primitive_root(p, k)] if p > 2 else [pk - 1, 5][:(k >= 2) + (k >= 3)]
+        gens += [c + pk * ((1 - c) * pow(pk, -1, rest) % rest) for c in local]
+    return gens
 
 
 def is_prime(q: int) -> bool:

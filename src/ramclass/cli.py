@@ -101,16 +101,15 @@ def group_report(spec: str) -> dict:
     else:
         group, structure = built, None
     primes = sorted(permgroup.non_random_primes(group))
-    omega_sets = {}
+    omega_sets, omega_inf = {}, {}
     for q in primes:
-        l = 1
-        while q ** l <= group.order:
+        omega_inf[q] = permgroup.omega_set(group, q, math.inf)
+        names = {g: repr(g) for g in omega_inf[q]}  # the union of the layers
+        for l in range(1, group.max_gcd_valuation(q) + 1):
             layer = permgroup.omega_set(group, q, l)
             if layer:
-                omega_sets[f"{q}^{l}"] = sorted(repr(g) for g in layer)
-            l += 1
-        omega_sets[f"{q}^inf"] = sorted(
-            repr(g) for g in permgroup.omega_set(group, q, math.inf))
+                omega_sets[f"{q}^{l}"] = sorted(names[g] for g in layer)
+        omega_sets[f"{q}^inf"] = sorted(names.values())
     report = {
         "spec": spec,
         "degree": group.degree,
@@ -124,16 +123,14 @@ def group_report(spec: str) -> dict:
         nontrivial = [g for g in group if not g.is_identity()]
         report["betas"]["beta_total"] = permgroup.beta(group, nontrivial)
         for q in primes:
-            omega = permgroup.omega_set(group, q, math.inf)
-            complement = [g for g in nontrivial if g not in omega]
+            complement = [g for g in nontrivial if g not in omega_inf[q]]
             report["betas"][f"beta_complement_{q}"] = permgroup.beta(group, complement)
     elif structure is not None:
         report["betas"]["beta_F"] = permgroup.weighted_beta(group, structure.F, lambda f: 1)
         nontrivial_h = frozenset(h for h in structure.H if not h.is_identity())
         report["betas"]["beta_F_H"] = permgroup.beta_F(structure, nontrivial_h)
         for q in primes:
-            omega = permgroup.omega_set(group, q, math.inf)
-            complement = frozenset(h for h in nontrivial_h if h not in omega)
+            complement = frozenset(h for h in nontrivial_h if h not in omega_inf[q])
             report["betas"][f"beta_F_complement_{q}"] = permgroup.beta_F(structure, complement)
     return report
 

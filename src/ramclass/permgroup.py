@@ -10,9 +10,12 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from functools import cached_property
 from itertools import product as _iproduct
 
-from .arith import euler_phi, is_prime, prime_factors, valuation
+import numpy as np
+
+from .arith import euler_phi, is_prime, prime_factors, unit_generators
 from .errors import (
     CapExceeded,
     DegreeMismatch,
@@ -89,6 +92,13 @@ class Permutation:
         except ValueError as exc:
             raise ParseError(str(exc)) from exc
 
+    @classmethod
+    def _from_images(cls, images) -> "Permutation":
+        """A permutation from images known to be a bijection, without the check."""
+        perm = object.__new__(cls)
+        perm.images = tuple(images)
+        return perm
+
     def apply(self, point: int) -> int:
         return self.images[point - 1]
 
@@ -117,16 +127,17 @@ class Permutation:
 
     def orbits(self) -> list[tuple[int, ...]]:
         """Every <g>-orbit on the points, fixed points included, each from its least point."""
-        seen = [False] * self.degree
+        images = self.images
+        seen = bytearray(len(images) + 1)
         out = []
-        for start in range(1, self.degree + 1):
-            if seen[start - 1]:
+        for start in range(1, len(images) + 1):
+            if seen[start]:
                 continue
-            orbit, pt = [], start
-            while not seen[pt - 1]:
-                seen[pt - 1] = True
+            orbit, pt = [start], images[start - 1]
+            while pt != start:
                 orbit.append(pt)
-                pt = self.images[pt - 1]
+                seen[pt] = 1
+                pt = images[pt - 1]
             out.append(tuple(orbit))
         return out
 
@@ -165,25 +176,109 @@ def orbit_gcd(g: Permutation) -> int:
     return math.gcd(*g.cycle_lengths())
 
 
-class PermGroup:
-    """A finite transitive permutation group with each element's order and e(g) precomputed."""
+# entries per block of rows when a pass over the table makes several index-sized temporaries
+_BLOCK = 1 << 16
 
-    def __init__(self, elements, generators, degree: int):
-        elements = tuple(sorted(elements))
+
+def _keys(rows: np.ndarray) -> np.ndarray:
+    """One byte string per row, its entries as big-endian unsigned ints.
+
+    Bytes compare like the rows' tuples, so sorting and searching the keys
+    orders and finds the rows.  Big-endian contiguous rows are viewed, not copied.
+    """
+    wide = np.ascontiguousarray(rows, dtype=rows.dtype.newbyteorder(">"))
+    return wide.view(np.dtype((np.void, wide.shape[1] * wide.itemsize))).ravel()
+
+
+def _contains(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Which keys occur in the sorted keys."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=bool)
+    at = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[at] == keys
+
+
+def _blocks(rows: int, width: int):
+    """Slices of at most about _BLOCK entries that cover rows of the given width."""
+    step = max(1, _BLOCK // max(width, 1))
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
+
+
+def _offsets(rows: np.ndarray) -> np.ndarray:
+    """The flat index of each row's first entry, as a column.
+
+    Adding it turns image rows into one index map on all their entries, in which
+    composing every row with its partner is a single gather: (a * b)[i] = a[b[i]].
+    """
+    return np.arange(0, rows.size, max(rows.shape[1], 1), dtype=np.intp)[:, None]
+
+
+def _power(rows: np.ndarray, k: int) -> np.ndarray:
+    """Each image row raised to the power k >= 1, by repeated squaring."""
+    offsets = _offsets(rows)
+    base, result = (rows + offsets).ravel(), None
+    while True:
+        if k & 1:
+            result = base if result is None else result[base]
+        k >>= 1
+        if not k:
+            return result.reshape(rows.shape) - offsets
+        base = base[base]
+
+
+def _cycle_invariants(table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Order and e(g) of every row: the lcm and gcd of its cycle lengths.
+
+    Pointer doubling labels each point with the least point of its cycle: after
+    t steps label[i] is the least of i, g(i), ..., g^(2^t - 1)(i) and jump is
+    g^(2^t).  A bincount of the labels then gives every cycle's length.
+    """
+    rows, n = table.shape
+    orders = np.empty(rows, dtype=np.int64)
+    gcds = np.empty(rows, dtype=np.int64)
+    for block in _blocks(rows, n):
+        chunk = table[block]
+        jump = (chunk + _offsets(chunk)).ravel()
+        label = np.arange(jump.size, dtype=np.intp)
+        reach = 1
+        while reach < n:
+            np.minimum(label, label[jump], out=label)
+            jump = jump[jump]
+            reach *= 2
+        lengths = np.bincount(label, minlength=label.size)[label].reshape(chunk.shape)
+        orders[block] = np.lcm.reduce(lengths, axis=1)
+        gcds[block] = np.gcd.reduce(lengths, axis=1)
+    return orders, gcds
+
+
+class PermGroup:
+    """A finite transitive permutation group, held as an (order x degree) table.
+
+    Row r of the table lists the images of the r-th element, 0-based, and the
+    rows are sorted in the elements' tuple order.  Every element's order and
+    e(g) are computed for all rows at once; the Permutation values and the
+    dicts keyed by them are made on first use.
+    """
+
+    def __init__(self, table: np.ndarray, generators, degree: int):
+        self._table = table[np.argsort(_keys(table))]
+        self._keys = _keys(self._table)  # a view when the table is big-endian
         self.degree = degree
-        self.elements = elements
         self.generators = tuple(generators)
-        self._members = frozenset(elements)
-        self.element_order, self.orbit_gcd = {}, {}
-        for g in elements:
-            sizes = g.cycle_lengths()
-            self.element_order[g] = math.lcm(*sizes)
-            self.orbit_gcd[g] = math.gcd(*sizes)
+        self._orders, self._gcds = _cycle_invariants(self._table)
+        self._unit_powers: dict[int, tuple[np.ndarray, list[np.ndarray]]] = {}
+        self._made: list[Permutation | None] = [None] * len(self._table)
 
     @classmethod
     def generate(cls, generators, degree: int | None = None,
                  cap: int = DEFAULT_CLOSURE_CAP) -> "PermGroup":
-        """Breadth-first closure of the generators; rejects non-transitive results."""
+        """Breadth-first closure of the generators; rejects non-transitive results.
+
+        The steps are the generators and their inverses, so each level's products
+        s * g lie in the previous, the current or the next level, and only those
+        two known levels are searched for duplicates.  The products are made a
+        block of the level at a time and the new ones made unique at the end.
+        """
         generators = list(generators)
         if not generators:
             raise ParseError("no generators")
@@ -192,49 +287,63 @@ class PermGroup:
         for g in generators:
             if g.degree != degree:
                 raise DegreeMismatch(f"generator degree {g.degree} != {degree}")
-        identity = Permutation.identity(degree)
-        seen = {identity}
-        frontier = [identity]
-        while frontier:
-            new = []
-            for g in frontier:
-                for s in generators:
-                    h = s * g
-                    if h not in seen:
-                        seen.add(h)
-                        new.append(h)
-                        if len(seen) > cap:
-                            raise CapExceeded(f"closure exceeds {cap} elements")
-            frontier = new
-        group = cls(seen, generators, degree)
+        # big-endian, so the rows are their own keys
+        dtype = np.min_scalar_type(max(degree - 1, 0)).newbyteorder(">")
+        steps = (np.array([g.images for g in generators]
+                          + [g.inverse().images for g in generators]) - 1).astype(dtype)
+        steps = steps[np.unique(_keys(steps), return_index=True)[1]]
+        frontier = np.arange(degree, dtype=dtype)[None, :]
+        levels, previous, current = [frontier], _keys(frontier[:0]), _keys(frontier)
+        total = 1
+        while len(frontier):
+            known = np.sort(np.concatenate([previous, current]))
+            fresh = []
+            for block in _blocks(len(frontier), len(steps) * degree):
+                products = steps[:, frontier[block]].reshape(-1, degree)
+                keys, first = np.unique(_keys(products), return_index=True)
+                fresh.append(products[first[~_contains(known, keys)]])
+            products = np.concatenate(fresh, dtype=dtype)
+            keys, first = np.unique(_keys(products), return_index=True)
+            frontier, previous, current = products[first], current, keys
+            total += len(frontier)
+            if total > cap:
+                raise CapExceeded(f"closure exceeds {cap} elements")
+            levels.append(frontier)
+        group = cls(np.concatenate(levels, dtype=dtype), generators, degree)
         if not group.is_transitive():
-            raise NonTransitive(f"orbit of 1 has size {len(group._orbit(1, Permutation.apply))}, "
-                                f"degree {degree}")
+            raise NonTransitive(f"orbit of 1 has size {group._orbit_of_one()}, degree {degree}")
         return group
 
-    def _orbit(self, start, act) -> set:
-        """Orbit of start under the generators s, each acting as x -> act(s, x)."""
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            x = frontier.pop()
-            for s in self.generators:
-                y = act(s, x)
-                if y not in orbit:
-                    orbit.add(y)
-                    frontier.append(y)
-        return orbit
+    def _orbit_of_one(self) -> int:
+        """Size of the orbit of the point 1: the distinct images of 1 over all elements."""
+        return int(np.count_nonzero(np.bincount(self._table[:, 0], minlength=self.degree)))
 
     def is_transitive(self) -> bool:
-        return len(self._orbit(1, Permutation.apply)) == self.degree
+        return self._orbit_of_one() == self.degree
 
     @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self._table)
 
     @property
     def identity(self) -> Permutation:
         return Permutation.identity(self.degree)
+
+    @cached_property
+    def elements(self) -> tuple[Permutation, ...]:
+        return tuple(self._elements(np.arange(self.order)))
+
+    @cached_property
+    def element_order(self) -> dict[Permutation, int]:
+        return dict(zip(self.elements, self._orders.tolist()))
+
+    @cached_property
+    def orbit_gcd(self) -> dict[Permutation, int]:
+        return dict(zip(self.elements, self._gcds.tolist()))
+
+    @cached_property
+    def _members(self) -> frozenset[Permutation]:
+        return frozenset(self.elements)
 
     def __contains__(self, g: Permutation) -> bool:
         return g in self._members
@@ -242,13 +351,97 @@ class PermGroup:
     def __iter__(self):
         return iter(self.elements)
 
+    def _find(self, rows: np.ndarray) -> np.ndarray:
+        """Row indices of image rows that are elements of the group."""
+        return np.searchsorted(self._keys, _keys(rows.astype(self._table.dtype)))
+
+    def _mask(self, perms) -> np.ndarray:
+        """The rows of some Permutations, as a mask; NotSubset unless all lie in the group."""
+        perms = frozenset(perms)
+        if not perms <= self._members:
+            raise NotSubset("omega is not a subset of the group")
+        mask = np.zeros(self.order, dtype=bool)
+        if perms:
+            mask[self._find(np.array([g.images for g in perms]) - 1)] = True
+        return mask
+
+    def _elements(self, rows: np.ndarray) -> list[Permutation]:
+        """The Permutations of some rows, each made once and then shared."""
+        made = self._made
+        missing = [r for r in rows.tolist() if made[r] is None]
+        for r, images in zip(missing, np.add(self._table[missing], 1, dtype=np.int64).tolist()):
+            made[r] = Permutation._from_images(images)
+        return [made[r] for r in rows.tolist()]
+
+    def _subset(self, mask: np.ndarray) -> frozenset[Permutation]:
+        return frozenset(self._elements(np.flatnonzero(mask)))
+
+    def _valuations(self, q: int) -> np.ndarray:
+        """The q-adic valuation of e(g) for every row."""
+        rest = self._gcds.copy()
+        v = np.zeros(self.order, dtype=np.int64)
+        while True:
+            hit = rest % q == 0
+            if not hit.any():
+                return v
+            v += hit
+            rest[hit] //= q
+
+    def max_gcd_valuation(self, q: int) -> int:
+        """The largest q-adic valuation of an e(g): every Omega(G, q^l) above it is empty."""
+        return int(self._valuations(q).max())
+
+    def _powers(self, gamma: int) -> tuple[np.ndarray, list[np.ndarray]]:
+        """The rows of order gamma, and for each a in unit_generators(gamma) the row of g^a."""
+        if gamma not in self._unit_powers:
+            rows = np.flatnonzero(self._orders == gamma)
+            maps = []
+            for a in unit_generators(gamma):
+                target = np.empty(len(rows), dtype=np.intp)
+                for block in _blocks(len(rows), self.degree):
+                    target[block] = self._find(_power(self._table[rows[block]], a))
+                maps.append(target)
+            self._unit_powers[gamma] = rows, maps
+        return self._unit_powers[gamma]
+
+    @cached_property
+    def _conjugation_maps(self) -> tuple[np.ndarray, ...]:
+        """For each generator s, the row of s * g * s^-1 for every row g."""
+        maps = []
+        for s in self.generators:
+            image = np.array(s.images, dtype=np.intp) - 1
+            inverse = np.array(s.inverse().images, dtype=np.intp) - 1
+            conj = np.empty(self.order, dtype=np.intp)
+            for block in _blocks(self.order, self.degree):
+                conj[block] = self._find(image[self._table[block][:, inverse]])
+            maps.append(conj)
+        return tuple(maps)
+
+    @cached_property
+    def _class_sizes(self) -> np.ndarray:
+        """Size of every row's conjugacy class, the orbits of the conjugation maps.
+
+        Each row is labelled by a member of its class; a label moves to the least
+        label across each map and then to its own label's label, until no label
+        changes, when the labels are constant on each class.
+        """
+        label = np.arange(self.order)
+        while True:
+            new = label
+            for conj in self._conjugation_maps:
+                new = np.minimum(new, new[conj])
+            new = new[new]
+            if np.array_equal(new, label):
+                return np.bincount(label, minlength=self.order)[label]
+            label = new
+
     def is_abelian(self) -> bool:
         gens = self.generators
         return all(a * b == b * a for a in gens for b in gens)
 
     def class_size(self, g: Permutation) -> int:
-        """Size of g's conjugacy class: its orbit under conjugation by the generators."""
-        return len(self._orbit(g, lambda s, h: s * h * s.inverse()))
+        """Size of g's conjugacy class; g must lie in the group."""
+        return int(self._class_sizes[self._mask([g])][0])
 
     def q_rank(self) -> dict[int, int]:
         """q-rank of an abelian group for every prime q dividing its order."""
@@ -256,7 +449,7 @@ class PermGroup:
             raise NotAbelian("q_rank needs an abelian group")
         ranks = {}
         for q in prime_factors(self.order):
-            torsion = sum(1 for g in self.elements if self.element_order[g] in (1, q))
+            torsion = int(np.count_nonzero((self._orders == 1) | (self._orders == q)))
             rank = 0
             while q ** (rank + 1) <= torsion:
                 rank += 1
@@ -274,47 +467,51 @@ def omega_set(group: PermGroup, q: int, l) -> frozenset[Permutation]:
         raise NotPrime(f"{q} is not prime")
     if l is not math.inf and (not isinstance(l, int) or l < 1):
         raise ValueError(f"l must be a positive integer or inf, got {l!r}")
-    members = []
-    for g in group.elements:
-        v = valuation(group.orbit_gcd[g], q)
-        if (v >= 1) if l is math.inf else (v == l):
-            members.append(g)
-    omega = frozenset(members)
+    v = group._valuations(q)
+    mask = v >= 1 if l is math.inf else v == l
+    omega = group._subset(mask)
     assert group.identity not in omega
-    assert closed_under_invertible_powering(group, omega)
-    assert closed_under_conjugation(group, omega)
+    assert _powering_closed(group, mask)
+    assert _conjugation_closed(group, mask)
     return omega
 
 
 def non_random_primes(group: PermGroup) -> set[int]:
     """Primes q with q | e(sigma) for some element sigma."""
     primes: set[int] = set()
-    for g in group.elements:
-        primes.update(prime_factors(group.orbit_gcd[g]))
+    for e in set(group._gcds.tolist()):
+        primes.update(prime_factors(e))
     assert all(group.order % q == 0 for q in primes)
     return primes
 
 
-def closed_under_invertible_powering(group: PermGroup, omega) -> bool:
-    """True iff g^a stays in omega for every g in omega and a coprime to ord(g)."""
-    omega = frozenset(omega)
-    if not omega <= group._members:
-        raise NotSubset("omega is not a subset of the group")
-    for g in omega:
-        gamma = group.element_order[g]
-        power = g
-        for a in range(1, gamma):
-            if math.gcd(a, gamma) == 1 and power not in omega:
-                return False
-            power = power * g
+def _powering_closed(group: PermGroup, mask: np.ndarray) -> bool:
+    """True iff the rows under mask keep g^a for each a in a generating set of (Z/ord g)^x.
+
+    g^a has the order of g, so closure under generators of the unit group gives
+    closure under every product of them, which is every a prime to ord(g).
+    """
+    for gamma in sorted(set(group._orders[mask].tolist())):
+        rows, maps = group._powers(gamma)
+        inside = mask[rows]
+        if not all(mask[target[inside]].all() for target in maps):
+            return False
     return True
 
 
+def _conjugation_closed(group: PermGroup, mask: np.ndarray) -> bool:
+    rows = np.flatnonzero(mask)
+    return all(mask[conj[rows]].all() for conj in group._conjugation_maps)
+
+
+def closed_under_invertible_powering(group: PermGroup, omega) -> bool:
+    """True iff g^a stays in omega for every g in omega and a coprime to ord(g)."""
+    return _powering_closed(group, group._mask(omega))
+
+
 def closed_under_conjugation(group: PermGroup, omega) -> bool:
-    omega = frozenset(omega)
-    if not omega <= group._members:
-        raise NotSubset("omega is not a subset of the group")
-    return all(s * g * s.inverse() in omega for g in omega for s in group.generators)
+    """True iff s * g * s^-1 stays in omega for every g in omega and generator s."""
+    return _conjugation_closed(group, group._mask(omega))
 
 
 def weighted_beta(group: PermGroup, omega, weight) -> int:

@@ -14,7 +14,9 @@ from ramclass.arith import (
     prime_factors,
     progression_counts,
     segmented_squarefree,
+    primitive_root,
     sieve_primes,
+    unit_generators,
     valuation,
 )
 from ramclass.dirichlet import segmented_primes
@@ -198,3 +200,34 @@ def test_is_prime_large():
     assert not is_prime(100000000000031 * 1000003)
     with pytest.raises(CapExceeded):
         is_prime(3317044064679887385961981)
+
+
+def _subgroup_of_units(gens, m):
+    seen, frontier = {1 % m}, [1 % m]
+    while frontier:
+        x = frontier.pop()
+        for a in gens:
+            if x * a % m not in seen:
+                seen.add(x * a % m)
+                frontier.append(x * a % m)
+    return seen
+
+
+def test_unit_generators_generate_every_unit_group():
+    for m in range(1, 400):
+        gens = unit_generators(m)
+        assert all(1 <= a < m and math.gcd(a, m) == 1 for a in gens)
+        units = {a % m for a in range(1, m + 1) if math.gcd(a, m) == 1}
+        assert _subgroup_of_units(gens, m) == units, m
+    assert unit_generators(8) == [7, 5] and unit_generators(4) == [3] and unit_generators(2) == []
+
+
+def test_primitive_root_generates_mod_every_odd_prime_power():
+    # 5 is the least primitive root mod 40487 but not one mod 40487^2
+    assert primitive_root(40487) == 5 and primitive_root(40487, 2) == 5 + 40487
+    for p in (3, 5, 7, 11, 13, 29, 37, 40487):
+        for k in (1, 2, 3):
+            g, pk = primitive_root(p, k), p ** k
+            order = pk - pk // p
+            assert pow(g, order, pk) == 1
+            assert all(pow(g, order // r, pk) != 1 for r in prime_factors(order)), (p, k)

@@ -36,6 +36,13 @@ GOLDEN = [
     ("group C2xC4", "1a4ec952a94640d5f61d4dedc1b6b95e7917e928477e8e85cd6c2815988dbcce"),
     ("asymptotic predict --kind abelian --params beta_complement=-1,r=2",
      "2df63a287f716fe5333e30477e1fa07dccc5d3d31413fadab97f0219f65d56f6"),
+    # a non-abelian report with no dihedral structure (S7, A4@S6), the regular
+    # dihedral action, and abelian groups with two non-random primes (C12) or rank 3
+    ("group S7", "7c0db70b4fb727a7f9b4bebdfd3d568c0806ba68a5f4cca39f62961cf063470e"),
+    ("group A4@S6", "618b2bcf0a9895fd9bd7603da85531f713d6cb731c3a7a530b694caf27760adb"),
+    ("group D6@reg", "9aced6d945b87d43decccb4966ee931e29a2bf5f4fa7d49a622775b1d9708dfb"),
+    ("group C12", "e6505e465d66817271cf71ed3e22b64beb512d528ebe3aedba886d5fb6f38a3c"),
+    ("group C2xC2xC2", "f5eb6fc803dbcd563bfb049a01b2810c8458934eb27dc73b4d17d08d1c5f86f6"),
 ]
 
 # inputs of the file-reading commands: the cubic and quartic profiles of the
