@@ -52,12 +52,12 @@ class AbelianGroupSpec:
 
     invariant_factors: tuple[int, ...]
 
-    def __init__(self, cyclic_orders, order_cap: int = DEFAULT_ORDER_CAP):
+    def __init__(self, cyclic_orders):
         orders = list(cyclic_orders)
         if not orders or any(d < 2 for d in orders):
             raise ValueError(f"cyclic orders must be >= 2, got {cyclic_orders!r}")
-        if math.prod(orders) > order_cap:  # before factoring a huge order
-            raise CapExceeded(f"group order {math.prod(orders)} exceeds cap {order_cap}")
+        if math.prod(orders) > DEFAULT_ORDER_CAP:  # before factoring a huge order
+            raise CapExceeded(f"group order {math.prod(orders)} exceeds cap {DEFAULT_ORDER_CAP}")
         object.__setattr__(self, "invariant_factors", invariant_factors(orders))
 
     @property

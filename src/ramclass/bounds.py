@@ -250,8 +250,7 @@ def indicator_omega_r(profile: RamificationProfile, omega, r: int) -> bool:
             continue
         if rec.inertia_class is None:
             raise MissingGroup(f"indicator needs inertia classes (p = {rec.p})")
-        generated = {rec.inertia_class ** k for k in range(group.element_order[rec.inertia_class])}
-        if generated & omega:
+        if group.cyclic_subgroup(rec.inertia_class) & omega:
             hits += 1
     return hits == r
 

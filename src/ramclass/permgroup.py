@@ -266,7 +266,6 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(generators)
         self._orders, self._gcds = _cycle_invariants(self._table)
-        self._unit_powers: dict[int, tuple[np.ndarray, list[np.ndarray]]] = {}
         self._made: list[Permutation | None] = [None] * len(self._table)
 
     @classmethod
@@ -391,18 +390,17 @@ class PermGroup:
         """The largest q-adic valuation of an e(g): every Omega(G, q^l) above it is empty."""
         return int(self._valuations(q).max())
 
-    def _powers(self, gamma: int) -> tuple[np.ndarray, list[np.ndarray]]:
-        """The rows of order gamma, and for each a in unit_generators(gamma) the row of g^a."""
-        if gamma not in self._unit_powers:
+    @cached_property
+    def _power_maps(self) -> tuple[np.ndarray, ...]:
+        """Map j sends row g to g^a for the j-th a in unit_generators(ord g), or to g."""
+        exponents = {gamma: unit_generators(gamma) for gamma in set(self._orders.tolist())}
+        maps = tuple(np.arange(self.order) for _ in range(max(map(len, exponents.values()))))
+        for gamma, exps in exponents.items():
             rows = np.flatnonzero(self._orders == gamma)
-            maps = []
-            for a in unit_generators(gamma):
-                target = np.empty(len(rows), dtype=np.intp)
+            for target, a in zip(maps, exps):
                 for block in _blocks(len(rows), self.degree):
-                    target[block] = self._find(_power(self._table[rows[block]], a))
-                maps.append(target)
-            self._unit_powers[gamma] = rows, maps
-        return self._unit_powers[gamma]
+                    target[rows[block]] = self._find(_power(self._table[rows[block]], a))
+        return maps
 
     @cached_property
     def _conjugation_maps(self) -> tuple[np.ndarray, ...]:
@@ -443,6 +441,17 @@ class PermGroup:
         """Size of g's conjugacy class; g must lie in the group."""
         return int(self._class_sizes[self._mask([g])][0])
 
+    def cyclic_subgroup(self, g: Permutation) -> frozenset[Permutation]:
+        """<g>: the rows of g^k for k < ord g, the list of powers doubled by g^m * g^k."""
+        row = int(np.flatnonzero(self._mask([g]))[0])
+        order = int(self._orders[row])
+        powers = np.arange(self.degree, dtype=np.intp)[None, :]
+        step = self._table[row].astype(np.intp)  # g^m for m = len(powers)
+        while len(powers) < order:
+            powers = np.concatenate([powers, step[powers]])
+            step = step[step]
+        return frozenset(self._elements(self._find(powers[:order])))
+
     def q_rank(self) -> dict[int, int]:
         """q-rank of an abelian group for every prime q dividing its order."""
         if not self.is_abelian():
@@ -469,10 +478,10 @@ def omega_set(group: PermGroup, q: int, l) -> frozenset[Permutation]:
         raise ValueError(f"l must be a positive integer or inf, got {l!r}")
     v = group._valuations(q)
     mask = v >= 1 if l is math.inf else v == l
+    assert _closed(mask, group._power_maps)
+    assert _closed(mask, group._conjugation_maps)
     omega = group._subset(mask)
     assert group.identity not in omega
-    assert _powering_closed(group, mask)
-    assert _conjugation_closed(group, mask)
     return omega
 
 
@@ -485,33 +494,24 @@ def non_random_primes(group: PermGroup) -> set[int]:
     return primes
 
 
-def _powering_closed(group: PermGroup, mask: np.ndarray) -> bool:
-    """True iff the rows under mask keep g^a for each a in a generating set of (Z/ord g)^x.
+def _closed(mask: np.ndarray, maps) -> bool:
+    """True iff every index map sends the rows under mask into the mask."""
+    rows = np.flatnonzero(mask)
+    return all(mask[image[rows]].all() for image in maps)
+
+
+def closed_under_invertible_powering(group: PermGroup, omega) -> bool:
+    """True iff g^a stays in omega for every g in omega and a coprime to ord(g).
 
     g^a has the order of g, so closure under generators of the unit group gives
     closure under every product of them, which is every a prime to ord(g).
     """
-    for gamma in sorted(set(group._orders[mask].tolist())):
-        rows, maps = group._powers(gamma)
-        inside = mask[rows]
-        if not all(mask[target[inside]].all() for target in maps):
-            return False
-    return True
-
-
-def _conjugation_closed(group: PermGroup, mask: np.ndarray) -> bool:
-    rows = np.flatnonzero(mask)
-    return all(mask[conj[rows]].all() for conj in group._conjugation_maps)
-
-
-def closed_under_invertible_powering(group: PermGroup, omega) -> bool:
-    """True iff g^a stays in omega for every g in omega and a coprime to ord(g)."""
-    return _powering_closed(group, group._mask(omega))
+    return _closed(group._mask(omega), group._power_maps)
 
 
 def closed_under_conjugation(group: PermGroup, omega) -> bool:
     """True iff s * g * s^-1 stays in omega for every g in omega and generator s."""
-    return _conjugation_closed(group, group._mask(omega))
+    return _closed(group._mask(omega), group._conjugation_maps)
 
 
 def weighted_beta(group: PermGroup, omega, weight) -> int:
@@ -535,10 +535,13 @@ def beta(group: PermGroup, omega) -> int:
 
 
 class DihedralStructure:
-    """G = H semidirect F with every nontrivial f in F inverting H.
+    """G = H semidirect F with H abelian and every nontrivial f in F inverting H.
 
-    Abelian groups are the degenerate case F = {id}.  The decomposition is
-    checked exhaustively at construction.
+    Abelian groups are the degenerate case F = {id}, which needs H = G abelian.
+    Otherwise F = {id, t} and H = <s> is cyclic; then t^2 = id and s * t * s = t,
+    with |H| |F| = |G| and H meet F = {id}, give every other fact of the
+    decomposition, and they are checked on the table, not by products of H and F.
+    An F of order above 2, or a non-cyclic H beside a nontrivial F, is refused.
     """
 
     def __init__(self, group: PermGroup, H, F):
@@ -551,25 +554,19 @@ class DihedralStructure:
             raise ValueError("H and F must contain the identity")
         if len(H) * len(F) != group.order or (H & F) != {identity}:
             raise ValueError("H, F do not decompose the group")
-        if len({h * f for h in H for f in F}) != group.order:
-            raise ValueError("products h*f do not exhaust the group")
-        for a in H:
-            for b in H:
-                if a * b not in H or a * b != b * a:
-                    raise NotAbelian("H must be an abelian subgroup")
-        for a in F:
-            for b in F:
-                if a * b not in F or a * b != b * a:
-                    raise NotAbelian("F must be an abelian subgroup")
-        for f in F:
-            if f.is_identity():
-                continue
-            for h in H:
-                if f * h * f.inverse() != h.inverse():
-                    raise ValueError("F does not invert H")
-        self.group = group
-        self.H = H
-        self.F = F
+        if len(F) == 1 and not group.is_abelian():
+            raise NotAbelian("H must be an abelian subgroup")
+        if len(F) > 1:
+            s = next((h for h in H if group.element_order[h] == len(H)), None)
+            if len(F) > 2 or s is None or group.cyclic_subgroup(s) != H:
+                raise ValueError("beside a nontrivial F, only F of order 2 and a cyclic H")
+            (t,) = F - {identity}
+            s, t = np.array([s.images, t.images]) - 1  # 0-based images
+            if not np.array_equal(t[t], np.arange(group.degree)):
+                raise NotAbelian("F must be an abelian subgroup")
+            if not np.array_equal(s[t[s]], t):
+                raise ValueError("F does not invert H")
+        self.group, self.H, self.F = group, H, F
 
     @property
     def f_trivial(self) -> bool:
@@ -623,10 +620,10 @@ def cyclic_factors(text: str) -> list[int] | None:
     return factors
 
 
-def _regular_abelian(factors: list[int], cap: int) -> PermGroup:
+def _regular_abelian(factors: list[int]) -> PermGroup:
     order = math.prod(factors)
-    if order > cap:
-        raise CapExceeded(f"group order {order} exceeds cap {cap}")
+    if order > DEFAULT_CLOSURE_CAP:
+        raise CapExceeded(f"group order {order} exceeds cap {DEFAULT_CLOSURE_CAP}")
     points = list(_iproduct(*(range(m) for m in factors)))
     index = {t: i + 1 for i, t in enumerate(points)}
     gens = []
@@ -637,39 +634,31 @@ def _regular_abelian(factors: list[int], cap: int) -> PermGroup:
             shifted[i] = (shifted[i] + 1) % m
             images.append(index[tuple(shifted)])
         gens.append(Permutation(images))
-    return PermGroup.generate(gens, degree=order, cap=cap)
+    return PermGroup.generate(gens, degree=order)
 
 
-def _dihedral_natural(n: int, cap: int) -> DihedralStructure:
+def _dihedral(s: Permutation, t: Permutation) -> DihedralStructure:
+    """The dihedral group <s, t> with H = <s> and F = {id, t}."""
+    group = PermGroup.generate([s, t])
+    return DihedralStructure(group, group.cyclic_subgroup(s), [group.identity, t])
+
+
+def _dihedral_natural(n: int) -> DihedralStructure:
     sigma = Permutation([i % n + 1 for i in range(1, n + 1)])
     # reflection fixing the point n (for n = 4 this is the pinned tau = (1 3))
     tau = Permutation([((n - 1 - i) % n) + 1 for i in range(1, n + 1)])
-    group = PermGroup.generate([sigma, tau], degree=n, cap=cap)
-    H = frozenset(sigma ** k for k in range(n))
-    F = frozenset([group.identity, tau])
-    return DihedralStructure(group, H, F)
+    return _dihedral(sigma, tau)
 
 
-def _dihedral_regular(n: int, cap: int) -> DihedralStructure:
-    # points 1..2n stand for s^i t^eps with i in 0..n-1, eps in {0, 1}
-    def idx(i, eps):
-        return i % n + eps * n + 1
-
-    s_images = [0] * (2 * n)
-    t_images = [0] * (2 * n)
-    for i in range(n):
-        for eps in (0, 1):
-            s_images[idx(i, eps) - 1] = idx(i + 1, eps)
-            t_images[idx(i, eps) - 1] = idx(-i, 1 - eps)
-    s = Permutation(s_images)
-    t = Permutation(t_images)
-    group = PermGroup.generate([s, t], degree=2 * n, cap=cap)
-    H = frozenset(s ** k for k in range(n))
-    F = frozenset([group.identity, t])
-    return DihedralStructure(group, H, F)
+def _dihedral_regular(n: int) -> DihedralStructure:
+    # the point i + eps * n + 1 stands for s^i t^eps, i in 0..n-1 and eps in {0, 1}
+    points = [(i, eps) for eps in (0, 1) for i in range(n)]
+    s = Permutation([(i + 1) % n + eps * n + 1 for i, eps in points])
+    t = Permutation([-i % n + (1 - eps) * n + 1 for i, eps in points])
+    return _dihedral(s, t)
 
 
-def parse_group_spec(text: str, cap: int = DEFAULT_CLOSURE_CAP):
+def parse_group_spec(text: str):
     """Build the group named by a spec string.
 
     Grammar: ``Cm`` and products ``C2xC4`` (regular action), ``Sn`` (natural
@@ -685,29 +674,29 @@ def parse_group_spec(text: str, cap: int = DEFAULT_CLOSURE_CAP):
         # (12)(34) fixes two points, the image of (123) is a pair of 3-cycles
         a = Permutation.from_cycles([[3, 6], [4, 5]], 6)
         b = Permutation.from_cycles([[1, 3, 4], [2, 6, 5]], 6)
-        return PermGroup.generate([a, b], degree=6, cap=cap)
+        return PermGroup.generate([a, b], degree=6)
     factors = cyclic_factors(text)
     if factors is not None:
-        return _regular_abelian(factors, cap)
+        return _regular_abelian(factors)
     m = _SYM_RE.match(text)
     if m:
         n = int(m.group(1))
         if n < 2:
             raise UnknownSpec(f"symmetric group degree must be >= 2: {text!r}")
-        if math.factorial(n) > cap:
-            raise CapExceeded(f"|S{n}| = {math.factorial(n)} exceeds cap {cap}")
+        if math.factorial(n) > DEFAULT_CLOSURE_CAP:
+            raise CapExceeded(f"|S{n}| = {math.factorial(n)} exceeds cap {DEFAULT_CLOSURE_CAP}")
         gens = [Permutation([i % n + 1 for i in range(1, n + 1)])]
         if n > 2:
             gens.append(Permutation.from_cycles([[1, 2]], n))
-        return PermGroup.generate(gens, degree=n, cap=cap)
+        return PermGroup.generate(gens, degree=n)
     m = _DIH_RE.match(text)
     if m:
         n = int(m.group(1))
         if n < 3:
             raise UnknownSpec(f"dihedral spec needs n >= 3: {text!r}")
         if m.group(2) == "reg":
-            return _dihedral_regular(n, cap)
+            return _dihedral_regular(n)
         if int(m.group(3)) != n:
             raise UnknownSpec(f"dihedral natural action must be Dn@Sn: {text!r}")
-        return _dihedral_natural(n, cap)
+        return _dihedral_natural(n)
     raise ParseError(f"unrecognized group spec: {text!r}")

@@ -43,6 +43,10 @@ GOLDEN = [
     ("group D6@reg", "9aced6d945b87d43decccb4966ee931e29a2bf5f4fa7d49a622775b1d9708dfb"),
     ("group C12", "e6505e465d66817271cf71ed3e22b64beb512d528ebe3aedba886d5fb6f38a3c"),
     ("group C2xC2xC2", "f5eb6fc803dbcd563bfb049a01b2810c8458934eb27dc73b4d17d08d1c5f86f6"),
+    # dihedral groups for odd n, for a larger n, and in the natural action of degree 12
+    ("group D9@reg", "ff2edd29624336cb22b4084ff18a3397ec06ddf3d9946d97c7cf6f61ad0723d9"),
+    ("group D40@reg", "e97b4e5ebb611cdbe9eeb4b1677da63ff85820ed158b71c0e93ef72678ff1cfe"),
+    ("group D12@S12", "fe17afd588f7086b20b64a633d7ad8d9188c86c6d4ef05412b1a56feb8f5f083"),
 ]
 
 # inputs of the file-reading commands: the cubic and quartic profiles of the

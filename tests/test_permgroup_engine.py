@@ -5,6 +5,8 @@ Permutation.order(), orbit_gcd(g), conjugacy classes by conjugating with every
 element, and closure under invertible powering by walking every power g^a,
 a = 1 .. ord(g) - 1.  Both closure predicates run on random subsets, most of
 them not closed, and on subsets closed under some units or generators only.
+DihedralStructure is checked against the exhaustive product loops it once ran,
+and cyclic subgroups against the list of powers g^k.
 """
 
 import math
@@ -14,7 +16,7 @@ import pytest
 
 from ramclass.arith import euler_phi, prime_factors, valuation
 from ramclass.cli import group_report
-from ramclass.errors import NonTransitive
+from ramclass.errors import NonTransitive, NotAbelian, NotSubset
 from ramclass.permgroup import (
     DihedralStructure,
     PermGroup,
@@ -61,6 +63,31 @@ def slow_conjugation_closed(generators, omega):
 
 def slow_class(elements, g):
     return frozenset(x * g * x.inverse() for x in elements)
+
+
+def slow_dihedral(group, H, F):
+    """Check G = H semidirect F, F inverting H, by every product of H x H, F x F and H x F."""
+    H, F = frozenset(H), frozenset(F)
+    members = frozenset(group.elements)
+    if not (H <= members and F <= members):
+        raise NotSubset("H and F must lie inside the group")
+    identity = group.identity
+    if identity not in H or identity not in F:
+        raise ValueError("H and F must contain the identity")
+    if len(H) * len(F) != group.order or (H & F) != {identity}:
+        raise ValueError("H, F do not decompose the group")
+    if len({h * f for h in H for f in F}) != group.order:
+        raise ValueError("products h*f do not exhaust the group")
+    for part in (H, F):
+        for a in part:
+            for b in part:
+                if a * b not in part or a * b != b * a:
+                    raise NotAbelian("H and F must be abelian subgroups")
+    for f in F:
+        if not f.is_identity():
+            for h in H:
+                if f * h * f.inverse() != h.inverse():
+                    raise ValueError("F does not invert H")
 
 
 # -- inputs -------------------------------------------------------------------------
@@ -238,3 +265,96 @@ def test_cyclic_report_matches_closed_forms(m):
     for q in primes:
         expected_betas[f"beta_complement_{q}"] = len(divisors(m // q ** valuation(m, q))) - 1
     assert report["betas"] == expected_betas
+
+
+# -- dihedral structures and cyclic subgroups ----------------------------------------------
+
+
+DIHEDRAL = [f"D{n}@S{n}" for n in range(3, 13)] + [f"D{n}@reg" for n in range(3, 31)]
+
+
+@pytest.mark.parametrize("spec", DIHEDRAL)
+def test_dihedral_structure_matches_the_product_loops(spec):
+    built = parse_group_spec(spec)
+    group = built.group
+    s, t = group.generators
+    n = s.order()
+    assert built.H == {s ** k for k in range(n)} and built.F == {group.identity, t}
+    assert group.order == 2 * n and not built.f_trivial
+    slow_dihedral(group, built.H, built.F)
+
+
+@pytest.mark.parametrize("spec", ["C3", "C6"])
+def test_abelian_dihedral_structure_matches_the_product_loops(spec):
+    group = parse_group_spec(spec)
+    structure = DihedralStructure(group, group.elements, [group.identity])
+    assert structure.H == frozenset(group.elements) and structure.f_trivial
+    slow_dihedral(group, group.elements, [group.identity])
+
+
+def malformed_structures():
+    """(name, group, H, F) that the product loops refuse, one per check they make."""
+    d6 = named_group("D6@reg")
+    s, t = d6.generators
+    rotations = [s ** k for k in range(6)]
+    d4 = named_group("D4@S4")
+    c2xc4 = named_group("C2xC4")
+    a, b = sorted(c2xc4.generators, key=lambda g: g.order())
+    c6 = named_group("C6")
+    g6 = next(g for g in c6 if g.order() == 6)
+    c8 = named_group("C8")
+    g8 = next(g for g in c8 if g.order() == 8)
+    outside = Permutation.parse("(1 2)", 4)
+    return [
+        ("H outside G", d4, [d4.identity, outside], d4.elements[:4]),
+        ("F outside G", d4, d4.elements[:4], [d4.identity, outside]),
+        ("identity missing from H", d6, rotations[1:] + [t], [d6.identity, t]),
+        ("identity missing from F", d6, rotations, [t]),
+        ("|H||F| != |G|", d6, rotations[::2], [d6.identity, t]),
+        ("H meets F", d6, rotations, [d6.identity, s ** 3]),
+        ("H not a subgroup", d6, rotations[:5] + [s * t], [d6.identity, t]),
+        ("t centralises H", c2xc4, [b ** k for k in range(4)], [c2xc4.identity, a]),
+        ("t of order 2 centralises H of order 3", c6, [g6 ** k for k in (0, 2, 4)],
+         [c6.identity, g6 ** 3]),
+        ("F not a subgroup", c8, [g8 ** k for k in range(0, 8, 2)], [c8.identity, g8]),
+        ("F = {id} over a non-abelian G", d4, d4.elements, [d4.identity]),
+    ]
+
+
+@pytest.mark.parametrize("case", range(11))
+def test_malformed_dihedral_structures_are_refused_like_the_product_loops(case):
+    name, group, H, F = malformed_structures()[case]
+    with pytest.raises(Exception) as slow:
+        slow_dihedral(group, H, F)
+    with pytest.raises(Exception) as fast:
+        DihedralStructure(group, H, F)
+    assert type(fast.value) is type(slow.value), name
+
+
+def test_dihedral_shapes_beyond_the_relations_are_refused():
+    """An F of order 4, or a non-cyclic H beside F, passes the product loops but is refused."""
+    group = named_group("C2xC2xC2")
+    x, y, z = group.generators
+    for H, F in [([group.identity, x], [group.identity, y, z, y * z]),
+                 ([group.identity, x, y, x * y], [group.identity, z])]:
+        slow_dihedral(group, H, F)
+        with pytest.raises(ValueError, match="only F of order 2 and a cyclic H"):
+            DihedralStructure(group, H, F)
+
+
+def test_dihedral_structure_makes_no_permutation_products(monkeypatch):
+    """The relations are read off the table; the product loops made 11 521 products for D60@reg."""
+    calls = []
+    multiply = Permutation.__mul__
+    monkeypatch.setattr(Permutation, "__mul__", lambda a, b: calls.append(1) or multiply(a, b))
+    assert parse_group_spec("D60@reg").group.order == 120
+    assert len(calls) <= 4
+
+
+@pytest.mark.parametrize("spec", ["S5", "D7@reg", "C2xC4", "A4@S6"])
+def test_cyclic_subgroup_is_the_list_of_powers(spec):
+    group = named_group(spec)
+    for g in group:
+        assert group.cyclic_subgroup(g) == {g ** k for k in range(g.order())}
+    with pytest.raises(NotSubset):
+        group.cyclic_subgroup(Permutation.identity(group.degree + 1))
