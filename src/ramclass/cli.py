@@ -8,6 +8,8 @@ byte-identical output (sets sorted, floats pinned to 12 significant digits).
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import re
@@ -35,19 +37,24 @@ def _frac(value) -> str:
     return str(frac.numerator) if frac.denominator == 1 else f"{frac.numerator}/{frac.denominator}"
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    if out_path:
-        try:
-            with open(out_path, "w") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise ParseError(f"cannot write {out_path}: {exc}") from exc
-    else:
-        sys.stdout.write(text)
+def _emit(text: str, out) -> None:
+    out.write(text)
+
+
+def _write(chunks, out_path: str | None) -> None:
+    """Each text chunk through _emit, to the file at out_path or else to stdout."""
+    try:
+        with open(out_path, "w") if out_path else contextlib.nullcontext(sys.stdout) as out:
+            for chunk in chunks:
+                _emit(chunk, out)
+    except OSError as exc:
+        raise ParseError(f"cannot write {out_path or 'stdout'}: {exc}") from exc
 
 
 def _emit_json(payload: dict, out_path: str | None) -> None:
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", out_path)
+    """The bytes of json.dumps(payload, sort_keys=True, indent=2) and a newline."""
+    encoder = json.JSONEncoder(sort_keys=True, indent=2)
+    _write(itertools.chain(encoder.iterencode(payload), ["\n"]), out_path)
 
 
 def _emit_table(header: str, rows, args) -> None:
@@ -58,7 +65,7 @@ def _emit_table(header: str, rows, args) -> None:
         _emit_json(payload, args.out)
         return
     lines = [header] + [",".join(str(cell) for cell in row) for row in rows]
-    _emit("\n".join(lines) + "\n", args.out)
+    _write(["\n".join(lines) + "\n"], args.out)
 
 
 def _parse_fraction(text: str, what: str) -> Fraction:
@@ -95,44 +102,7 @@ def _checkpoints(text: str) -> list[int]:
 
 
 def group_report(spec: str) -> dict:
-    built = permgroup.parse_group_spec(spec)
-    if isinstance(built, permgroup.DihedralStructure):
-        group, structure = built.group, built
-    else:
-        group, structure = built, None
-    primes = sorted(permgroup.non_random_primes(group))
-    omega_sets, omega_inf = {}, {}
-    for q in primes:
-        omega_inf[q] = permgroup.omega_set(group, q, math.inf)
-        names = {g: repr(g) for g in omega_inf[q]}  # the union of the layers
-        for l in range(1, group.max_gcd_valuation(q) + 1):
-            layer = permgroup.omega_set(group, q, l)
-            if layer:
-                omega_sets[f"{q}^{l}"] = sorted(names[g] for g in layer)
-        omega_sets[f"{q}^inf"] = sorted(names.values())
-    report = {
-        "spec": spec,
-        "degree": group.degree,
-        "order": group.order,
-        "abelian": group.is_abelian(),
-        "non_random_primes": primes,
-        "omega_sets": omega_sets,
-        "betas": {},
-    }
-    if group.is_abelian():
-        nontrivial = [g for g in group if not g.is_identity()]
-        report["betas"]["beta_total"] = permgroup.beta(group, nontrivial)
-        for q in primes:
-            complement = [g for g in nontrivial if g not in omega_inf[q]]
-            report["betas"][f"beta_complement_{q}"] = permgroup.beta(group, complement)
-    elif structure is not None:
-        report["betas"]["beta_F"] = permgroup.weighted_beta(group, structure.F, lambda f: 1)
-        nontrivial_h = frozenset(h for h in structure.H if not h.is_identity())
-        report["betas"]["beta_F_H"] = permgroup.beta_F(structure, nontrivial_h)
-        for q in primes:
-            complement = frozenset(h for h in nontrivial_h if h not in omega_inf[q])
-            report["betas"][f"beta_F_complement_{q}"] = permgroup.beta_F(structure, complement)
-    return report
+    return permgroup.report(spec)
 
 
 def cmd_group(args) -> None:

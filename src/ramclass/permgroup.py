@@ -256,8 +256,9 @@ class PermGroup:
 
     Row r of the table lists the images of the r-th element, 0-based, and the
     rows are sorted in the elements' tuple order.  Every element's order and
-    e(g) are computed for all rows at once; the Permutation values and the
-    dicts keyed by them are made on first use.
+    e(g) are computed for all rows at once, membership is a lookup of rows, and
+    subsets are row masks.  Permutation values, and the dicts keyed by them, are
+    made on first use, only where a public method returns them.
     """
 
     def __init__(self, table: np.ndarray, generators, degree: int):
@@ -340,12 +341,8 @@ class PermGroup:
     def orbit_gcd(self) -> dict[Permutation, int]:
         return dict(zip(self.elements, self._gcds.tolist()))
 
-    @cached_property
-    def _members(self) -> frozenset[Permutation]:
-        return frozenset(self.elements)
-
-    def __contains__(self, g: Permutation) -> bool:
-        return g in self._members
+    def __contains__(self, g) -> bool:
+        return self._rows([g]) is not None
 
     def __iter__(self):
         return iter(self.elements)
@@ -354,15 +351,21 @@ class PermGroup:
         """Row indices of image rows that are elements of the group."""
         return np.searchsorted(self._keys, _keys(rows.astype(self._table.dtype)))
 
+    def _rows(self, perms) -> np.ndarray | None:
+        """The rows of some Permutations, or None unless all lie in the group."""
+        perms = list(perms)
+        if not all(isinstance(g, Permutation) and g.degree == self.degree for g in perms):
+            return None
+        rows = np.array([g.images for g in perms], dtype=np.min_scalar_type(self.degree))
+        keys = _keys((rows.reshape(len(perms), self.degree) - 1).astype(self._table.dtype))
+        return np.searchsorted(self._keys, keys) if _contains(self._keys, keys).all() else None
+
     def _mask(self, perms) -> np.ndarray:
         """The rows of some Permutations, as a mask; NotSubset unless all lie in the group."""
-        perms = frozenset(perms)
-        if not perms <= self._members:
+        rows = self._rows(perms)
+        if rows is None:
             raise NotSubset("omega is not a subset of the group")
-        mask = np.zeros(self.order, dtype=bool)
-        if perms:
-            mask[self._find(np.array([g.images for g in perms]) - 1)] = True
-        return mask
+        return np.bincount(rows, minlength=self.order) > 0
 
     def _elements(self, rows: np.ndarray) -> list[Permutation]:
         """The Permutations of some rows, each made once and then shared."""
@@ -371,9 +374,6 @@ class PermGroup:
         for r, images in zip(missing, np.add(self._table[missing], 1, dtype=np.int64).tolist()):
             made[r] = Permutation._from_images(images)
         return [made[r] for r in rows.tolist()]
-
-    def _subset(self, mask: np.ndarray) -> frozenset[Permutation]:
-        return frozenset(self._elements(np.flatnonzero(mask)))
 
     def _valuations(self, q: int) -> np.ndarray:
         """The q-adic valuation of e(g) for every row."""
@@ -385,10 +385,6 @@ class PermGroup:
                 return v
             v += hit
             rest[hit] //= q
-
-    def max_gcd_valuation(self, q: int) -> int:
-        """The largest q-adic valuation of an e(g): every Omega(G, q^l) above it is empty."""
-        return int(self._valuations(q).max())
 
     @cached_property
     def _power_maps(self) -> tuple[np.ndarray, ...]:
@@ -472,17 +468,20 @@ def omega_set(group: PermGroup, q: int, l) -> frozenset[Permutation]:
 
     ``l`` may be ``math.inf`` for the union over all l >= 1.
     """
+    return frozenset(group._elements(np.flatnonzero(_omega_mask(group, q, l))))
+
+
+def _omega_mask(group: PermGroup, q: int, l) -> np.ndarray:
+    """Omega(G, q^l) as a mask over the rows, checked closed and free of the identity."""
     if not is_prime(q):
         raise NotPrime(f"{q} is not prime")
     if l is not math.inf and (not isinstance(l, int) or l < 1):
         raise ValueError(f"l must be a positive integer or inf, got {l!r}")
     v = group._valuations(q)
     mask = v >= 1 if l is math.inf else v == l
-    assert _closed(mask, group._power_maps)
-    assert _closed(mask, group._conjugation_maps)
-    omega = group._subset(mask)
-    assert group.identity not in omega
-    return omega
+    assert _closed(mask, group._power_maps + group._conjugation_maps)
+    assert not mask[group._orders == 1].any()
+    return mask
 
 
 def non_random_primes(group: PermGroup) -> set[int]:
@@ -514,12 +513,17 @@ def closed_under_conjugation(group: PermGroup, omega) -> bool:
     return _closed(group._mask(omega), group._conjugation_maps)
 
 
-def weighted_beta(group: PermGroup, omega, weight) -> int:
-    """Sum of weight(h)/phi(ord(h)) over non-identity h in omega; NotClosed unless integral."""
-    total = Fraction(0)
-    for h in omega:
-        if not h.is_identity():
-            total += Fraction(weight(h), euler_phi(group.element_order[h]))
+def _beta(group: PermGroup, mask: np.ndarray, by_class=False) -> int:
+    """Sum of w(h)/phi(ord h) over the non-identity rows h under mask, w(h) the class size
+    or 1; NotClosed unless closed under powering (and conjugation, by_class) and integral."""
+    if not _closed(mask, group._power_maps):
+        raise NotClosed("omega is not closed under invertible powering")
+    if by_class and not _closed(mask, group._conjugation_maps):
+        raise NotClosed("omega is not closed under conjugation")
+    orders = group._orders
+    weights = group._class_sizes if by_class else np.ones_like(orders)
+    total = sum((Fraction(int(weights[mask & (orders == gamma)].sum()), euler_phi(gamma))
+                 for gamma in set(orders[mask].tolist()) - {1}), Fraction(0))
     if total.denominator != 1:
         raise NotClosed(f"weight sum {total} is not an integer")
     return int(total)
@@ -529,9 +533,7 @@ def beta(group: PermGroup, omega) -> int:
     """Sum of 1/phi(ord(h)) over non-identity h in omega (an integer when closed)."""
     if not group.is_abelian():
         raise NotAbelian("beta is defined for abelian groups")
-    if not closed_under_invertible_powering(group, omega):
-        raise NotClosed("omega is not closed under invertible powering")
-    return weighted_beta(group, omega, lambda h: 1)
+    return _beta(group, group._mask(omega))
 
 
 class DihedralStructure:
@@ -545,9 +547,9 @@ class DihedralStructure:
     """
 
     def __init__(self, group: PermGroup, H, F):
-        H = frozenset(H)
-        F = frozenset(F)
-        if not (H <= group._members and F <= group._members):
+        H, F = frozenset(H), frozenset(F)
+        h_rows = group._rows(H)
+        if h_rows is None or group._rows(F) is None:
             raise NotSubset("H and F must lie inside the group")
         identity = group.identity
         if identity not in H or identity not in F:
@@ -557,11 +559,11 @@ class DihedralStructure:
         if len(F) == 1 and not group.is_abelian():
             raise NotAbelian("H must be an abelian subgroup")
         if len(F) > 1:
-            s = next((h for h in H if group.element_order[h] == len(H)), None)
-            if len(F) > 2 or s is None or group.cyclic_subgroup(s) != H:
+            s = group._elements(h_rows[group._orders[h_rows] == len(H)][:1])  # of order |H|
+            if len(F) > 2 or not s or group.cyclic_subgroup(s[0]) != H:
                 raise ValueError("beside a nontrivial F, only F of order 2 and a cyclic H")
             (t,) = F - {identity}
-            s, t = np.array([s.images, t.images]) - 1  # 0-based images
+            s, t = np.array([s[0].images, t.images]) - 1  # 0-based images
             if not np.array_equal(t[t], np.arange(group.degree)):
                 raise NotAbelian("F must be an abelian subgroup")
             if not np.array_equal(s[t[s]], t):
@@ -578,12 +580,39 @@ def beta_F(structure: DihedralStructure, omega) -> int:
     omega = frozenset(omega)
     if not omega <= structure.H:
         raise NotInH("omega must be a subset of H")
-    group = structure.group
-    if not closed_under_invertible_powering(group, omega):
-        raise NotClosed("omega is not closed under invertible powering")
-    if not closed_under_conjugation(group, omega):
-        raise NotClosed("omega is not closed under conjugation")
-    return weighted_beta(group, omega, group.class_size)
+    return _beta(structure.group, structure.group._mask(omega), by_class=True)
+
+
+def report(spec: str) -> dict:
+    """The ``group`` report of a spec: its Omega(G, q^l) sets in cycle notation and betas.
+
+    Each set is a mask of table rows, checked as in omega_set, beta and beta_F, and
+    each element of an Omega set is named once, from its row.
+    """
+    built = parse_group_spec(spec)
+    structure = built if isinstance(built, DihedralStructure) else None
+    group = structure.group if structure else built
+    abelian, primes = group.is_abelian(), sorted(non_random_primes(group))
+    rows, names = np.flatnonzero(group._gcds > 1), {}  # the union of every Omega(G, q^inf)
+    for block in _blocks(len(rows), group.degree):  # no Permutation is kept
+        images = np.add(group._table[rows[block]], 1, dtype=np.int64).tolist()
+        names.update(zip(rows[block].tolist(), map(repr, map(Permutation._from_images, images))))
+    omega_sets, outside, betas = {}, {}, {}
+    for q in primes:
+        for l in [*sorted(set(group._valuations(q).tolist()) - {0}), math.inf]:
+            mask = _omega_mask(group, q, l)
+            omega_sets[f"{q}^{l}"] = sorted(names[r] for r in np.flatnonzero(mask).tolist())
+        outside[q] = ~mask  # the last mask is Omega(G, q^inf)
+    if abelian or structure:
+        h, prefix, whole = group._orders > 1, "beta", "beta_total"
+        if not abelian:
+            h, prefix, whole = h & group._mask(structure.H), "beta_F", "beta_F_H"
+            betas["beta_F"] = _beta(group, group._mask(structure.F))
+        betas[whole] = _beta(group, h, by_class=not abelian)
+        for q in primes:
+            betas[f"{prefix}_complement_{q}"] = _beta(group, h & outside[q], by_class=not abelian)
+    return {"spec": spec, "degree": group.degree, "order": group.order, "abelian": abelian,
+            "non_random_primes": primes, "omega_sets": omega_sets, "betas": betas}
 
 
 def h_p(structure: DihedralStructure, p: int, subset) -> int:

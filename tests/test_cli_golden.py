@@ -6,10 +6,12 @@ says why.
 """
 
 import hashlib
+import json
 
 import pytest
 
 from ramclass.cli import main
+from ramclass.permgroup import PermGroup
 
 GOLDEN = [
     ("quadratic moment --checkpoints 1e3,1e4,1e5",
@@ -47,6 +49,13 @@ GOLDEN = [
     ("group D9@reg", "ff2edd29624336cb22b4084ff18a3397ec06ddf3d9946d97c7cf6f61ad0723d9"),
     ("group D40@reg", "e97b4e5ebb611cdbe9eeb4b1677da63ff85820ed158b71c0e93ef72678ff1cfe"),
     ("group D12@S12", "fe17afd588f7086b20b64a633d7ad8d9188c86c6d4ef05412b1a56feb8f5f083"),
+    # three non-random primes (C60), layers 2^1..2^3 and 3^1..3^2 (C360), rank 4, and
+    # dihedral groups of odd n in the regular action and of degree 10 in the natural one
+    ("group C60", "393d32a73819881eb42b4dd41c48401c18e656c4d2a67387774be6cd85ab5da7"),
+    ("group C360", "0f517b1145887909ddcb5873587f78e4992e89e5a52950cc3a19e732aa04c561"),
+    ("group C2xC2xC2xC2", "5c0ffd374a35b2c08e01b962c503b791978cb54d1308f9a3fe64846c02c5a7f1"),
+    ("group D15@reg", "ffaa8fa18513b9a5825718e6ea50528dbf67999ba581d995b13f0c03611e4dc3"),
+    ("group D10@S10", "f5f9d337e2935e4965e61569846a23a00d7b33b63a6f36a5e5a2dafe584a1f60"),
 ]
 
 # inputs of the file-reading commands: the cubic and quartic profiles of the
@@ -95,3 +104,44 @@ def test_stdout_on_files_is_pinned(tmp_path, capsys, argv, digest):
         (tmp_path / name).write_text(text)
     assert main(argv.format(tmp=tmp_path).split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+# stdout digests of `group SPEC`, pinned like GOLDEN, for a report that reads only the table
+UNITERATED = {
+    "C12": "e6505e465d66817271cf71ed3e22b64beb512d528ebe3aedba886d5fb6f38a3c",
+    "C2xC4": "1a4ec952a94640d5f61d4dedc1b6b95e7917e928477e8e85cd6c2815988dbcce",
+    "D7@reg": "a3237f28bf0e9888c1240f79b6b691de2549fb99d15549e38314b269cb9ab8f5",
+    "D6@S6": "7b3aebba77df7cad8c15943a4e3b8a707d76e1fb8346f2e1c5e565eb038c561d",
+    "S5": "27195280454a8a8ab918341185f6cd056164be75f35d8bf21ad8fb132eb3b122",
+    "A4@S6": "618b2bcf0a9895fd9bd7603da85531f713d6cb731c3a7a530b694caf27760adb",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(UNITERATED))
+def test_group_report_does_not_iterate_the_group(monkeypatch, capsys, spec):
+    """The report reads the table: with PermGroup.elements raising, its bytes are unchanged."""
+    def refuse(group):
+        raise AssertionError("the report iterated the group")
+    monkeypatch.setattr(PermGroup, "elements", property(refuse))
+    assert main(["group", spec]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == UNITERATED[spec]
+
+
+@pytest.mark.parametrize("argv", [
+    "group C12",
+    "asymptotic predict --kind abelian --params beta_complement=-1,r=2",
+    "quadratic moment --checkpoints 1e3,1e4 --format json",
+    "abelian C3 --checkpoints 1e4 --format json",
+    "bounds {tmp}/cubic.profile --q 3",
+])
+def test_json_through_out_is_stdout(tmp_path, capsys, argv):
+    """The streamed JSON writer gives json.dumps's bytes, the same on stdout and in --out."""
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text)
+    argv = argv.format(tmp=tmp_path).split()
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    assert stdout == json.dumps(json.loads(stdout), sort_keys=True, indent=2) + "\n"
+    assert main(argv + ["--out", str(tmp_path / "out.json")]) == 0
+    assert capsys.readouterr().out == ""
+    assert (tmp_path / "out.json").read_text() == stdout

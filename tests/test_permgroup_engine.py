@@ -6,11 +6,13 @@ element, and closure under invertible powering by walking every power g^a,
 a = 1 .. ord(g) - 1.  Both closure predicates run on random subsets, most of
 them not closed, and on subsets closed under some units or generators only.
 DihedralStructure is checked against the exhaustive product loops it once ran,
-and cyclic subgroups against the list of powers g^k.
+and cyclic subgroups against the list of powers g^k.  The group report, computed
+on row masks, is checked against the public functions on Permutation sets.
 """
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,6 +23,8 @@ from ramclass.permgroup import (
     DihedralStructure,
     PermGroup,
     Permutation,
+    beta,
+    beta_F,
     closed_under_conjugation,
     closed_under_invertible_powering,
     non_random_primes,
@@ -358,3 +362,57 @@ def test_cyclic_subgroup_is_the_list_of_powers(spec):
         assert group.cyclic_subgroup(g) == {g ** k for k in range(g.order())}
     with pytest.raises(NotSubset):
         group.cyclic_subgroup(Permutation.identity(group.degree + 1))
+
+
+# -- the report against the public functions --------------------------------------------
+
+REPORTED = (["S3", "S4", "S5", "S6", "A4@S6"] + [f"D{n}@S{n}" for n in range(3, 9)]
+            + [f"D{n}@reg" for n in range(3, 17)] + [f"C{m}" for m in range(2, 41)]
+            + ["C2xC2", "C2xC4", "C3xC3", "C2xC2xC2", "C4xC4"])
+
+
+@pytest.mark.parametrize("spec", REPORTED)
+def test_report_matches_the_public_functions(spec):
+    """Every Omega set of the report is omega_set's, named by repr, and every beta is
+    beta or beta_F on Permutation sets made here; beta_F of F sums 1/phi(ord f)."""
+    report = group_report(spec)
+    built = parse_group_spec(spec)
+    structure = built if isinstance(built, DihedralStructure) else None
+    group = structure.group if structure else built
+    primes = sorted(non_random_primes(group))
+    assert report["non_random_primes"] == primes
+    layers = {f"{q}^{l}": omega_set(group, q, l) for q in primes  # v_q(e(g)) <= v_q(|G|)
+              for l in [*range(1, valuation(group.order, q) + 1), math.inf]}
+    assert report["omega_sets"] == {key: sorted(map(repr, omega))
+                                    for key, omega in layers.items() if omega}
+    outside = {q: frozenset(group.elements) - layers[f"{q}^inf"] for q in primes}
+    expected = {}
+    if group.is_abelian():
+        nontrivial = frozenset(g for g in group.elements if not g.is_identity())
+        expected["beta_total"] = beta(group, nontrivial)
+        for q, rest in outside.items():
+            expected[f"beta_complement_{q}"] = beta(group, nontrivial & rest)
+    elif structure:
+        nontrivial = frozenset(h for h in structure.H if not h.is_identity())
+        expected["beta_F_H"] = beta_F(structure, nontrivial)
+        for q, rest in outside.items():
+            expected[f"beta_F_complement_{q}"] = beta_F(structure, nontrivial & rest)
+        expected["beta_F"] = sum(Fraction(1, euler_phi(f.order()))
+                                 for f in structure.F if not f.is_identity())
+    assert report["betas"] == expected
+
+
+def test_membership_is_a_lookup_with_the_old_answers():
+    """A Permutation of another degree, one outside G and a non-Permutation are not in G."""
+    structure = parse_group_spec("D6@S6")
+    group = structure.group
+    wrong_degree, outside = Permutation.identity(7), Permutation.from_cycles([[1, 2]], 6)
+    assert all(g in group for g in group) and len(group.elements) == 12
+    for stranger in (wrong_degree, outside, (1, 2, 3, 4, 5, 6), "id", None, 1):
+        assert stranger not in group
+        with pytest.raises(NotSubset):
+            closed_under_conjugation(group, [group.identity, stranger])
+        with pytest.raises(NotSubset):
+            DihedralStructure(group, structure.H | {stranger}, structure.F)
+        with pytest.raises(NotSubset):
+            DihedralStructure(group, structure.H, structure.F | {stranger})
