@@ -31,8 +31,8 @@ from itertools import count as _icount, product as _iproduct
 
 import numpy as np
 
-from .arith import (euler_phi, floor_values, invariant_factors, is_prime, prime_counts_mod,
-                    prime_factors, sieve_primes, valuation)
+from .arith import (euler_phi, floor_index, floor_values, invariant_factors, is_prime,
+                    prime_counts_mod, prime_factors, sieve_primes, valuation)
 from .errors import CapExceeded, EmptyRange, NotClosed, TamePrime, WildPrime
 
 DEFAULT_ORDER_CAP = 64
@@ -254,11 +254,10 @@ def _checkpoint_counts(x, r_max, setups, exponent, primes, dtype):
     column[0] = sum(mu for mu, _ in setups)
     table = prime_counts_mod(n, exponent)
     values = floor_values(n)
-    size, small_top, ascending = len(values), n // math.isqrt(n), -values
     wild = {p % exponent: p for p in prime_factors(exponent)}
     walk = primes[:np.searchsorted(primes, math.isqrt(n), side="right")].tolist()[::-1]
     for mu, class_ab in setups:
-        S = np.zeros((rows, size), dtype=dtype)
+        S = np.zeros((rows, len(values)), dtype=dtype)
         for c, (a, b) in class_ab.items():
             primes_to_v = (values >= wild[c] if c in wild else table[c]).astype(dtype, copy=False)
             S[0] += b * primes_to_v
@@ -267,11 +266,11 @@ def _checkpoint_counts(x, r_max, setups, exponent, primes, dtype):
             if (ab := class_ab.get(p % exponent)) is None:
                 continue
             a, b = ab
-            at_p = size - p if p < small_top else n // p - 1
-            top = int(np.searchsorted(ascending, -p * p, side="right"))  # the v >= p * p
+            at_p = int(floor_index(n, p))
+            top = int(floor_index(n, p * p)) + 1  # the v >= p * p
             for lo in range(0, top, BLOCK):
                 q = values[lo:min(lo + BLOCK, top)] // p
-                d = S[:, np.where(q < small_top, size - q, n // q - 1)]
+                d = S[:, floor_index(n, q)]
                 d -= S[:, at_p, None]
                 block = S[:, lo:lo + len(q)]
                 if b:

@@ -47,15 +47,23 @@ def sieve_primes(limit: int) -> np.ndarray:
 def floor_values(n: int) -> np.ndarray:
     """The distinct values of n // i for i >= 1, descending, as int64.
 
-    They are n // i for i = 1 .. isqrt(n), then n // isqrt(n) - 1 down to 1,
-    so a value v is at entry n // v - 1 when v >= n // isqrt(n), and at entry
-    len - v below that.  Empty for n < 1.
+    They are n // i for i = 1 .. isqrt(n), then n // isqrt(n) - 1 down to 1;
+    floor_index finds a value's entry.  Empty for n < 1.
     """
     if n < 1:
         return np.zeros(0, dtype=np.int64)
     root = math.isqrt(n)
     return np.concatenate([n // np.arange(1, root + 1, dtype=np.int64),
                            np.arange(n // root - 1, 0, -1, dtype=np.int64)])
+
+
+def floor_index(n: int, v):
+    """The last entry of floor_values(n) that is at least v, for v >= 1 an int or an array.
+
+    That is n // v - 1 for v >= n // isqrt(n), the least n // i, and len - v below it.
+    """
+    root = math.isqrt(n)
+    return np.where(v < n // root, root + n // root - 1 - v, n // v - 1)
 
 
 def prime_counts_mod(n: int, e: int) -> dict[int, np.ndarray]:
@@ -74,20 +82,16 @@ def prime_counts_mod(n: int, e: int) -> dict[int, np.ndarray]:
     if n < 1:
         return {c: np.zeros(0, dtype=np.int64) for c in classes}
     values = floor_values(n)
-    root = math.isqrt(n)
-    small_top = n // root  # the least of the n // i; the values below it are 1 .. small_top - 1
-    size, ascending = len(values), -values
     # the integers in [1, v] that are c mod e, less 1 itself in its class
     table = np.array([(values - c) // e - (-c) // e - (c == 1 % e) for c in classes])
     row = {c: j for j, c in enumerate(classes)}
-    for p in sieve_primes(root + 1).tolist():
+    for p in sieve_primes(math.isqrt(n) + 1).tolist():
         if e % p == 0:
             continue
-        k = int(np.searchsorted(ascending, -p * p, side="right"))  # the v >= p * p
-        q = values[:k] // p
-        at = np.where(q < small_top, size - q, n // q - 1)
+        k = int(floor_index(n, p * p)) + 1  # the v >= p * p
+        at = floor_index(n, values[:k] // p)
         src = [row[c * pow(p, -1, e) % e] for c in classes]
-        table[:, :k] -= table[np.ix_(src, at)] - table[src, size - (p - 1)][:, None]
+        table[:, :k] -= table[np.ix_(src, at)] - table[src, int(floor_index(n, p - 1))][:, None]
     return dict(zip(classes, table))
 
 

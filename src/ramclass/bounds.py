@@ -219,8 +219,9 @@ def d4_bounds(profile: RamificationProfile) -> dict:
     Omega_i; that is the reading under which a sigma^2-inertia prime is
     unramified in the quadratic subfield.
     """
-    group = canonical_d4()
-    if profile.group is None or frozenset(profile.group.elements) != frozenset(group.elements):
+    group, G = canonical_d4(), profile.group
+    # a group of order 8 whose generators lie in the canonical D4 is that D4
+    if G is None or G.order != group.order or not all(g in group for g in G.generators):
         raise WrongGroup("profile group must be the canonical D4 in S4")
     omegas = _d4_omegas()
     tallies = [0, 0, 0, 0]

@@ -194,9 +194,9 @@ def cmd_abelian(args) -> None:
     rows = []
     for k, x in enumerate(checkpoints):
         pairs = strat[r][k]
-        fields = pairs // aut if pairs % aut == 0 else pairs / aut
+        assert pairs % aut == 0, "pair count must be divisible by |Aut(G)|"
         ratio = pairs / totals[k] if totals[k] else 0.0
-        rows.append((x, r, pairs, fields, f"{ratio:.12g}"))
+        rows.append((x, r, pairs, pairs // aut, f"{ratio:.12g}"))
     _emit_table("x,r,count_pairs,count_fields,ratio", rows, args)
 
 

@@ -11,7 +11,6 @@ import math
 import re
 from fractions import Fraction
 from functools import cached_property
-from itertools import product as _iproduct
 
 import numpy as np
 
@@ -257,8 +256,8 @@ class PermGroup:
     Row r of the table lists the images of the r-th element, 0-based, and the
     rows are sorted in the elements' tuple order.  Every element's order and
     e(g) are computed for all rows at once, membership is a lookup of rows, and
-    subsets are row masks.  Permutation values, and the dicts keyed by them, are
-    made on first use, only where a public method returns them.
+    subsets are row masks.  Permutation values are made only where a public
+    function returns them, or to name rows in the report.
     """
 
     def __init__(self, table: np.ndarray, generators, degree: int):
@@ -267,7 +266,6 @@ class PermGroup:
         self.degree = degree
         self.generators = tuple(generators)
         self._orders, self._gcds = _cycle_invariants(self._table)
-        self._made: list[Permutation | None] = [None] * len(self._table)
 
     @classmethod
     def generate(cls, generators, degree: int | None = None,
@@ -367,13 +365,13 @@ class PermGroup:
             raise NotSubset("omega is not a subset of the group")
         return np.bincount(rows, minlength=self.order) > 0
 
-    def _elements(self, rows: np.ndarray) -> list[Permutation]:
-        """The Permutations of some rows, each made once and then shared."""
-        made = self._made
-        missing = [r for r in rows.tolist() if made[r] is None]
-        for r, images in zip(missing, np.add(self._table[missing], 1, dtype=np.int64).tolist()):
-            made[r] = Permutation._from_images(images)
-        return [made[r] for r in rows.tolist()]
+    def _elements(self, rows: np.ndarray):
+        """Fresh Permutations of some rows, made a block at a time as they are taken; the
+        images of all of them are the ints of one shared array of points."""
+        points = np.arange(1, self.degree + 1).astype(object)
+        for block in _blocks(len(rows), self.degree):
+            for images in points[self._table[rows[block]]].tolist():
+                yield Permutation._from_images(images)
 
     def _valuations(self, q: int) -> np.ndarray:
         """The q-adic valuation of e(g) for every row."""
@@ -438,15 +436,19 @@ class PermGroup:
         return int(self._class_sizes[self._mask([g])][0])
 
     def cyclic_subgroup(self, g: Permutation) -> frozenset[Permutation]:
-        """<g>: the rows of g^k for k < ord g, the list of powers doubled by g^m * g^k."""
+        """<g> as a set of the group's Permutations; NotSubset for a g outside the group."""
         row = int(np.flatnonzero(self._mask([g]))[0])
+        return frozenset(self._elements(self._cyclic_rows(row)))
+
+    def _cyclic_rows(self, row: int) -> np.ndarray:
+        """The rows of <g>, g^k for k < ord g, the list of powers doubled by g^m * g^k."""
         order = int(self._orders[row])
         powers = np.arange(self.degree, dtype=np.intp)[None, :]
         step = self._table[row].astype(np.intp)  # g^m for m = len(powers)
         while len(powers) < order:
             powers = np.concatenate([powers, step[powers]])
             step = step[step]
-        return frozenset(self._elements(self._find(powers[:order])))
+        return self._find(powers[:order])
 
     def q_rank(self) -> dict[int, int]:
         """q-rank of an abelian group for every prime q dividing its order."""
@@ -548,22 +550,21 @@ class DihedralStructure:
 
     def __init__(self, group: PermGroup, H, F):
         H, F = frozenset(H), frozenset(F)
-        h_rows = group._rows(H)
-        if h_rows is None or group._rows(F) is None:
+        h_rows, f_rows = group._rows(H), group._rows(F)
+        if h_rows is None or f_rows is None:
             raise NotSubset("H and F must lie inside the group")
-        identity = group.identity
-        if identity not in H or identity not in F:
+        if 0 not in h_rows or 0 not in f_rows:  # row 0, the least image row, is the identity
             raise ValueError("H and F must contain the identity")
-        if len(H) * len(F) != group.order or (H & F) != {identity}:
+        if len(H) * len(F) != group.order or len(np.intersect1d(h_rows, f_rows)) != 1:
             raise ValueError("H, F do not decompose the group")
         if len(F) == 1 and not group.is_abelian():
             raise NotAbelian("H must be an abelian subgroup")
         if len(F) > 1:
-            s = group._elements(h_rows[group._orders[h_rows] == len(H)][:1])  # of order |H|
-            if len(F) > 2 or not s or group.cyclic_subgroup(s[0]) != H:
+            s = h_rows[group._orders[h_rows] == len(H)][:1]  # of order |H|
+            if len(F) > 2 or not len(s) or not np.array_equal(
+                    np.sort(group._cyclic_rows(int(s[0]))), np.sort(h_rows)):
                 raise ValueError("beside a nontrivial F, only F of order 2 and a cyclic H")
-            (t,) = F - {identity}
-            s, t = np.array([s[0].images, t.images]) - 1  # 0-based images
+            s, t = group._table[[s[0], f_rows[f_rows != 0][0]]].astype(np.intp)  # 0-based images
             if not np.array_equal(t[t], np.arange(group.degree)):
                 raise NotAbelian("F must be an abelian subgroup")
             if not np.array_equal(s[t[s]], t):
@@ -593,10 +594,8 @@ def report(spec: str) -> dict:
     structure = built if isinstance(built, DihedralStructure) else None
     group = structure.group if structure else built
     abelian, primes = group.is_abelian(), sorted(non_random_primes(group))
-    rows, names = np.flatnonzero(group._gcds > 1), {}  # the union of every Omega(G, q^inf)
-    for block in _blocks(len(rows), group.degree):  # no Permutation is kept
-        images = np.add(group._table[rows[block]], 1, dtype=np.int64).tolist()
-        names.update(zip(rows[block].tolist(), map(repr, map(Permutation._from_images, images))))
+    rows = np.flatnonzero(group._gcds > 1)  # the union of every Omega(G, q^inf)
+    names = dict(zip(rows.tolist(), map(repr, group._elements(rows))))  # no Permutation is kept
     omega_sets, outside, betas = {}, {}, {}
     for q in primes:
         for l in [*sorted(set(group._valuations(q).tolist()) - {0}), math.inf]:
@@ -616,18 +615,14 @@ def report(spec: str) -> dict:
 
 
 def h_p(structure: DihedralStructure, p: int, subset) -> int:
-    """Count non-identity h in the subset of H with p = +-1 mod ord(h).
+    """Count non-identity h in the subset of H with p = +-1 mod ord(h), each h once.
 
-    Only the +1 congruence counts when F is trivial.
+    Only the +1 congruence counts when F is trivial.  NotSubset for an element
+    outside the group.
     """
-    count = 0
-    for h in subset:
-        if h.is_identity():
-            continue
-        gamma = structure.group.element_order[h]
-        if p % gamma == 1 % gamma:
-            count += 1
-        elif not structure.f_trivial and p % gamma == (-1) % gamma:
+    group, count = structure.group, 0
+    for gamma in group._orders[group._mask(subset)].tolist():
+        if gamma > 1 and (p % gamma == 1 or not structure.f_trivial and p % gamma == gamma - 1):
             count += 1
     return count
 
@@ -653,16 +648,10 @@ def _regular_abelian(factors: list[int]) -> PermGroup:
     order = math.prod(factors)
     if order > DEFAULT_CLOSURE_CAP:
         raise CapExceeded(f"group order {order} exceeds cap {DEFAULT_CLOSURE_CAP}")
-    points = list(_iproduct(*(range(m) for m in factors)))
-    index = {t: i + 1 for i, t in enumerate(points)}
-    gens = []
-    for i, m in enumerate(factors):
-        images = []
-        for t in points:
-            shifted = list(t)
-            shifted[i] = (shifted[i] + 1) % m
-            images.append(index[tuple(shifted)])
-        gens.append(Permutation(images))
+    # the point of the coordinates (c_1, c_2, ...) is its row-major index plus 1, a Python
+    # int shared by the images of every generator
+    points = np.arange(1, order + 1).astype(object).reshape(factors)
+    gens = [Permutation(np.roll(points, -1, axis=i).ravel().tolist()) for i in range(len(factors))]
     return PermGroup.generate(gens, degree=order)
 
 
@@ -723,9 +712,10 @@ def parse_group_spec(text: str):
         n = int(m.group(1))
         if n < 3:
             raise UnknownSpec(f"dihedral spec needs n >= 3: {text!r}")
-        if m.group(2) == "reg":
-            return _dihedral_regular(n)
-        if int(m.group(3)) != n:
+        regular = m.group(2) == "reg"
+        if not regular and int(m.group(3)) != n:
             raise UnknownSpec(f"dihedral natural action must be Dn@Sn: {text!r}")
-        return _dihedral_natural(n)
+        if 2 * n > DEFAULT_CLOSURE_CAP:
+            raise CapExceeded(f"group order {2 * n} exceeds cap {DEFAULT_CLOSURE_CAP}")
+        return _dihedral_regular(n) if regular else _dihedral_natural(n)
     raise ParseError(f"unrecognized group spec: {text!r}")

@@ -1,4 +1,5 @@
 import math
+import random
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from ramclass.arith import (
     class_progressions,
+    floor_index,
     floor_values,
     invariant_factors,
     is_prime,
@@ -51,6 +53,16 @@ def _check_prime_counts(n, e):
         in_class = primes[primes % e == c]
         want = np.searchsorted(in_class, values, side="right")
         assert counts.tolist() == want.tolist(), (n, e, c)
+
+
+def test_floor_index_is_the_last_entry_at_least_v():
+    rng = random.Random(3)
+    for n in list(range(1, 400)) + [rng.randrange(400, 10 ** 9) for _ in range(30)]:
+        values = floor_values(n)
+        assert floor_index(n, values).tolist() == list(range(len(values)))
+        probes = range(1, n + 1) if n < 400 else [rng.randrange(1, n + 1) for _ in range(200)]
+        for v in probes:
+            assert int(floor_index(n, v)) == np.searchsorted(-values, -v, side="right") - 1
 
 
 @settings(max_examples=150, deadline=None)

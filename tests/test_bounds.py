@@ -26,7 +26,7 @@ from ramclass.errors import (
     ParseError,
     WrongGroup,
 )
-from ramclass.permgroup import Permutation, parse_group_spec
+from ramclass.permgroup import PermGroup, Permutation, parse_group_spec
 from ramclass.quadratic import class_group_data, enumerate_discriminants
 
 S4_D4 = canonical_d4()
@@ -236,6 +236,18 @@ def test_d4_wrong_group():
     profile = RamificationProfile(3, [rec(7, cls="(1 2 3)", degree=3)], group=S3)
     with pytest.raises(WrongGroup):
         d4_bounds(profile)
+
+
+@pytest.mark.parametrize("spec", ["D4@reg", "C8", "C2xC4", "conjugate"])
+def test_d4_other_groups_of_order_8_are_refused(spec):
+    if spec == "conjugate":  # another Sylow 2-subgroup of S4
+        group = PermGroup.generate([Permutation.parse(c, 4) for c in ("(1 2 4 3)", "(1 4)")])
+    else:
+        built = parse_group_spec(spec)
+        group = getattr(built, "group", built)
+    assert group.order == 8
+    with pytest.raises(WrongGroup):
+        d4_bounds(RamificationProfile(group.degree, [], group=group))
 
 
 def test_d4_containment_chain():

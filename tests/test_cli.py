@@ -5,7 +5,7 @@ from importlib import resources
 import jsonschema
 import pytest
 
-from ramclass import abelian_fields, cli, quadratic
+from ramclass import abelian_fields, cli, permgroup, quadratic
 from ramclass.cli import main
 
 
@@ -48,9 +48,19 @@ def test_group_bad_spec_exit_2(capsys):
     assert "error" in err
 
 
-def test_group_order_cap_exit_4(capsys):
-    code, out, err = run(capsys, "group", "S8")
-    assert code == 4 and out == ""
+@pytest.mark.parametrize("spec", ["S8", "C10001", "C2xC5001", "D5001@reg", "D5001@S5001"])
+def test_group_order_cap_exit_4(capsys, monkeypatch, spec):
+    """Each spec is refused by its order; a dihedral one before its closure is built."""
+    reached = []
+
+    def generate(*args, **kwargs):
+        reached.append(spec)
+        raise AssertionError("the closure was built")
+
+    if spec.startswith("D"):
+        monkeypatch.setattr(permgroup.PermGroup, "generate", generate)
+    code, out, err = run(capsys, "group", spec)
+    assert code == 4 and out == "" and not reached
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 

@@ -217,6 +217,14 @@ def test_h_p_trivial_F_counts_plus_one_only():
     assert h_p(structure, 2, s) == 0  # 2 = -1 mod 3 but F is trivial
 
 
+def test_h_p_counts_each_element_once_and_refuses_strangers():
+    d5 = parse_group_spec("D5@S5")
+    s = next(h for h in d5.H if not h.is_identity())
+    assert h_p(d5, 11, [s, s]) == 1
+    with pytest.raises(NotSubset):
+        h_p(d5, 11, [s, cyc("(1 2)", 5)])
+
+
 # -- spec parsing ----------------------------------------------------------------
 
 

@@ -6,8 +6,9 @@ element, and closure under invertible powering by walking every power g^a,
 a = 1 .. ord(g) - 1.  Both closure predicates run on random subsets, most of
 them not closed, and on subsets closed under some units or generators only.
 DihedralStructure is checked against the exhaustive product loops it once ran,
-and cyclic subgroups against the list of powers g^k.  The group report, computed
-on row masks, is checked against the public functions on Permutation sets.
+cyclic subgroups against the list of powers g^k, and h_p against the orders of
+the elements it counts.  The group report, computed on row masks, is checked
+against the public functions on Permutation sets.
 """
 
 import math
@@ -27,6 +28,7 @@ from ramclass.permgroup import (
     beta_F,
     closed_under_conjugation,
     closed_under_invertible_powering,
+    h_p,
     non_random_primes,
     omega_set,
     orbit_gcd,
@@ -309,6 +311,8 @@ def malformed_structures():
     c8 = named_group("C8")
     g8 = next(g for g in c8 if g.order() == 8)
     outside = Permutation.parse("(1 2)", 4)
+    c2xc2 = named_group("C2xC2")
+    x = c2xc2.generators[0]
     return [
         ("H outside G", d4, [d4.identity, outside], d4.elements[:4]),
         ("F outside G", d4, d4.elements[:4], [d4.identity, outside]),
@@ -322,10 +326,12 @@ def malformed_structures():
          [c6.identity, g6 ** 3]),
         ("F not a subgroup", c8, [g8 ** k for k in range(0, 8, 2)], [c8.identity, g8]),
         ("F = {id} over a non-abelian G", d4, d4.elements, [d4.identity]),
+        # the only shape that passes every relation: t = s of order 2, |G| = 4
+        ("F equal to H", c2xc2, [c2xc2.identity, x], [c2xc2.identity, x]),
     ]
 
 
-@pytest.mark.parametrize("case", range(11))
+@pytest.mark.parametrize("case", range(12))
 def test_malformed_dihedral_structures_are_refused_like_the_product_loops(case):
     name, group, H, F = malformed_structures()[case]
     with pytest.raises(Exception) as slow:
@@ -344,6 +350,34 @@ def test_dihedral_shapes_beyond_the_relations_are_refused():
         slow_dihedral(group, H, F)
         with pytest.raises(ValueError, match="only F of order 2 and a cyclic H"):
             DihedralStructure(group, H, F)
+
+
+def test_dihedral_structure_makes_no_permutation(monkeypatch):
+    """The checks run on rows: no value is made for <s>, the identity or t."""
+    built = parse_group_spec("D60@reg")
+    group = parse_group_spec("D60@reg").group  # a second group, none of whose rows has a value
+    calls = []
+    init, from_images = Permutation.__init__, Permutation._from_images.__func__
+    monkeypatch.setattr(Permutation, "__init__",
+                        lambda self, images: calls.append(1) or init(self, images))
+    monkeypatch.setattr(Permutation, "_from_images", classmethod(
+        lambda cls, images: calls.append(1) or from_images(cls, images)))
+    structure = DihedralStructure(group, built.H, built.F)
+    assert structure.group is group and calls == []
+
+
+@pytest.mark.parametrize("spec", ["D7@reg", "D8@S8", "C12"])
+def test_h_p_matches_the_element_orders(spec):
+    rng, structure = random.Random(spec), parse_group_spec(spec)
+    if not isinstance(structure, DihedralStructure):  # F = {id}
+        structure = DihedralStructure(structure, structure.elements, [structure.identity])
+    H = sorted(structure.H)
+    for _ in range(20):
+        subset = rng.sample(H, rng.randrange(len(H) + 1))
+        for p in (2, 3, 5, 7, 11, 13, 29, 31, 97):
+            want = sum(1 for h in subset if h.order() > 1 and (
+                p % h.order() == 1 or not structure.f_trivial and (p + 1) % h.order() == 0))
+            assert h_p(structure, p, subset) == want
 
 
 def test_dihedral_structure_makes_no_permutation_products(monkeypatch):
