@@ -213,7 +213,10 @@ def default_cap(group: AbelianGroupSpec) -> int:
     return 10 ** 5
 
 
-def _check_omega(group: AbelianGroupSpec, omega) -> frozenset[Element]:
+def _check_omega(group: AbelianGroupSpec, omega, semantics: str) -> frozenset[Element]:
+    """Omega as a frozenset, checked, with the semantics its hits are read by."""
+    if semantics not in ("subgroup_meets_omega", "generator_in_omega"):
+        raise ValueError(f"unknown semantics {semantics!r}")
     omega = frozenset(omega)
     if group.identity in omega:
         raise NotClosed("omega must not contain the identity")
@@ -386,9 +389,7 @@ def count_stratified(group: AbelianGroupSpec, omega, checkpoints, r_max: int,
     it.  Before the sieve, x > 2^63 and an estimated peak above physical
     memory raise CapExceeded.
     """
-    omega = _check_omega(group, omega)
-    if semantics not in ("subgroup_meets_omega", "generator_in_omega"):
-        raise ValueError(f"unknown semantics {semantics!r}")
+    omega = _check_omega(group, omega, semantics)
     if r_max < 0:
         raise ValueError(f"r_max must be nonnegative, got {r_max}")
     checkpoints = sorted(int(x) for x in checkpoints)
@@ -423,7 +424,7 @@ def enumerate_records(group: AbelianGroupSpec, omega, x: int,
     Exact but linear in the number of squarefree supports below x; meant for
     small x and for cross-checking the stratified counter.
     """
-    omega = _check_omega(group, omega)
+    omega = _check_omega(group, omega, semantics)
     limit = min(cap if cap is not None else default_cap(group), RECORD_MODE_CAP)
     if x > limit:
         raise CapExceeded(f"x = {x} exceeds record-mode cap {limit}")

@@ -290,19 +290,13 @@ def is_squarefree(n: int) -> bool:
 
 
 def invariant_factors(cyclic_orders) -> tuple[int, ...]:
-    """Canonical divisibility chain d1 | d2 | ... for a product of cyclic groups."""
-    exponents: dict[int, list[int]] = {}
-    for m in cyclic_orders:
-        for p in prime_factors(m):
-            exponents.setdefault(p, []).append(valuation(m, p))
-    for p in exponents:
-        exponents[p].sort(reverse=True)
-    width = max((len(v) for v in exponents.values()), default=0)
-    factors = []
-    for i in range(width):
-        d = 1
-        for p, exps in exponents.items():
-            if i < len(exps):
-                d *= p ** exps[i]
-        factors.append(d)
-    return tuple(sorted(factors))
+    """Canonical divisibility chain d1 | d2 | ... for a product of cyclic groups.
+
+    C_a x C_b = C_gcd(a,b) x C_lcm(a,b).  Replacing each pair i < j in turn leaves
+    every entry dividing the ones after it; the trivial factors are then dropped.
+    """
+    orders = list(cyclic_orders)
+    for i in range(len(orders)):
+        for j in range(i + 1, len(orders)):
+            orders[i], orders[j] = math.gcd(orders[i], orders[j]), math.lcm(orders[i], orders[j])
+    return tuple(d for d in orders if d != 1)

@@ -14,6 +14,7 @@ import json
 import math
 import re
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import abelian_fields, bounds, dirichlet, permgroup, quadratic
@@ -68,29 +69,27 @@ def _emit_table(header: str, rows, args) -> None:
     _write(["\n".join(lines) + "\n"], args.out)
 
 
-def _parse_fraction(text: str, what: str) -> Fraction:
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ParseError(f"bad {what} {text!r}") from exc
+def _number(text: str, what: str, whole: bool = False):
+    """An exact number: an int, a fraction such as -3/2 or a decimal such as 1e4 or 2.5.
 
-
-def _count(text: str, what: str) -> int:
-    """A whole number written as an int or in float notation, such as 1e4.
-
-    The value is read exactly; one that is not whole, such as 100.7, is refused.
+    Refused outside float range, and unless whole when whole is set.  A literal with
+    an exponent is read as a Decimal first, which keeps the exponent apart, so one
+    out of range costs no power of ten.
     """
     try:
-        value = Fraction(text) if math.isfinite(float(text)) else None
-    except ValueError:
-        value = None
-    if value is None or value.denominator != 1:
-        raise ParseError(f"bad {what} {text!r}: not a whole number")
-    return int(value)
+        value = Decimal(text) if "e" in text.lower() else Fraction(text)
+        # out of range, float() gives 0.0, or inf or OverflowError
+        if not value or 0 < abs(float(value)) < math.inf:
+            value = Fraction(value)
+            if not whole or value.denominator == 1:
+                return int(value) if whole else value
+    except (ArithmeticError, ValueError):  # bad syntax, a NaN or a zero denominator
+        pass
+    raise ParseError(f"bad {what} {text!r}: not a{' whole' * whole} number in float range")
 
 
 def _checkpoints(text: str) -> list[int]:
-    values = [_count(tok, "checkpoint") for tok in text.split(",") if tok.strip()]
+    values = [_number(tok, "checkpoint", whole=True) for tok in text.split(",") if tok.strip()]
     if not values or values != sorted(values):
         raise ParseError("checkpoints must be ascending")
     if values[0] < 1:
@@ -183,7 +182,7 @@ def cmd_abelian(args) -> None:
     semantics = ("generator_in_omega" if args.semantics == "generator"
                  else "subgroup_meets_omega")
     r = args.r if args.r is not None else 0
-    cap = _count(args.cap, "--cap") if args.cap is not None else None
+    cap = _number(args.cap, "--cap", whole=True) if args.cap is not None else None
     if cap is not None and cap < 0:
         raise ParseError(f"--cap must be nonnegative, got {args.cap}")
     strat = abelian_fields.count_stratified(group, omega, checkpoints, r,
@@ -218,10 +217,7 @@ def _parse_params(text: str | None) -> dict:
         if value in ("true", "false"):
             params[key] = value == "true"
         else:
-            try:
-                params[key] = int(value)
-            except ValueError:
-                params[key] = _parse_fraction(value, f"parameter {key}")
+            params[key] = _number(value, f"parameter {key}")
     return params
 
 
@@ -249,7 +245,7 @@ def cmd_asymptotic(args) -> None:
             rows.append((float(cells[0]), float(cells[1])))
         except (IndexError, ValueError) as exc:
             raise ParseError(f"bad fit row {line!r}") from exc
-    fixed = (_parse_fraction(args.loglog_exp, "--loglog-exp")
+    fixed = (_number(args.loglog_exp, "--loglog-exp")
              if args.loglog_exp is not None else None)
     fit = dirichlet.fit_asymptotic(rows, loglog_exp=fixed)
     payload = {

@@ -74,22 +74,17 @@ class Permutation:
         text = text.strip()
         if text in ("id", "()", "e", "1"):
             return cls.identity(degree)
-        consumed = "".join(_CYCLE_RE.findall(text))
-        if _CYCLE_RE.sub("", text).strip():
-            raise ParseError(f"bad cycle notation: {text!r}")
-        cycles = []
-        for body in _CYCLE_RE.findall(text):
-            pts = [int(tok) for tok in re.split(r"[,\s]+", body.strip()) if tok]
-            if len(pts) != len(set(pts)):
-                raise ParseError(f"repeated point in cycle: ({body})")
-            if pts:
-                cycles.append(pts)
-        if not consumed.strip():
+        bodies = _CYCLE_RE.findall(text)
+        if _CYCLE_RE.sub("", text).strip() or not "".join(bodies).strip():
             raise ParseError(f"bad cycle notation: {text!r}")
         try:
+            cycles = [[int(tok) for tok in re.split(r"[,\s]+", body.strip()) if tok]
+                      for body in bodies]
+            if any(len(pts) != len(set(pts)) for pts in cycles):
+                raise ParseError(f"repeated point in cycle: {text!r}")
             return cls.from_cycles(cycles, degree)
-        except ValueError as exc:
-            raise ParseError(str(exc)) from exc
+        except ValueError as exc:  # a point that is no integer, or one outside 1..degree
+            raise ParseError(f"bad cycle notation {text!r}: {exc}") from exc
 
     @classmethod
     def _from_images(cls, images) -> "Permutation":
@@ -260,28 +255,28 @@ class PermGroup:
     function returns them, or to name rows in the report.
     """
 
-    def __init__(self, table: np.ndarray, generators, degree: int):
-        self._table = table[np.argsort(_keys(table))]
-        self._keys = _keys(self._table)  # a view when the table is big-endian
-        self.degree = degree
+    def __init__(self, table: np.ndarray, generators):
+        self._keys = _keys(table)  # a view of big-endian rows, so this sorts them in place
+        self._keys.sort()
+        self._table = self._keys.view(table.dtype.newbyteorder(">")).reshape(table.shape)
+        self.degree = table.shape[1]
         self.generators = tuple(generators)
         self._orders, self._gcds = _cycle_invariants(self._table)
 
     @classmethod
-    def generate(cls, generators, degree: int | None = None,
-                 cap: int = DEFAULT_CLOSURE_CAP) -> "PermGroup":
+    def generate(cls, generators, cap: int = DEFAULT_CLOSURE_CAP) -> "PermGroup":
         """Breadth-first closure of the generators; rejects non-transitive results.
 
         The steps are the generators and their inverses, so each level's products
-        s * g lie in the previous, the current or the next level, and only those
-        two known levels are searched for duplicates.  The products are made a
-        block of the level at a time and the new ones made unique at the end.
+        s * g lie in the previous, the current or the next level.  A level is made
+        one step at a time: s applied to the whole frontier has no repeated row, as
+        s is a bijection, and only rows in neither known level nor an earlier step's
+        share of the new level are kept.
         """
         generators = list(generators)
         if not generators:
             raise ParseError("no generators")
-        if degree is None:
-            degree = generators[0].degree
+        degree = generators[0].degree
         for g in generators:
             if g.degree != degree:
                 raise DegreeMismatch(f"generator degree {g.degree} != {degree}")
@@ -291,23 +286,25 @@ class PermGroup:
                           + [g.inverse().images for g in generators]) - 1).astype(dtype)
         steps = steps[np.unique(_keys(steps), return_index=True)[1]]
         frontier = np.arange(degree, dtype=dtype)[None, :]
-        levels, previous, current = [frontier], _keys(frontier[:0]), _keys(frontier)
+        levels, previous = [frontier], frontier[:0]
         total = 1
         while len(frontier):
-            known = np.sort(np.concatenate([previous, current]))
+            seen = np.concatenate([_keys(previous), _keys(frontier)])
+            seen.sort()
             fresh = []
-            for block in _blocks(len(frontier), len(steps) * degree):
-                products = steps[:, frontier[block]].reshape(-1, degree)
-                keys, first = np.unique(_keys(products), return_index=True)
-                fresh.append(products[first[~_contains(known, keys)]])
-            products = np.concatenate(fresh, dtype=dtype)
-            keys, first = np.unique(_keys(products), return_index=True)
-            frontier, previous, current = products[first], current, keys
+            for s in steps:
+                products = s[frontier]
+                fresh.append(products[~_contains(seen, _keys(products))])
+                seen = np.concatenate([seen, _keys(fresh[-1])])
+                seen.sort()
+            previous, frontier = frontier, np.concatenate(fresh, dtype=dtype)
             total += len(frontier)
             if total > cap:
                 raise CapExceeded(f"closure exceeds {cap} elements")
             levels.append(frontier)
-        group = cls(np.concatenate(levels, dtype=dtype), generators, degree)
+        table = np.concatenate(levels, dtype=dtype)
+        del levels, previous  # so that the table is the one copy of the rows while it is sorted
+        group = cls(table, generators)
         if not group.is_transitive():
             raise NonTransitive(f"orbit of 1 has size {group._orbit_of_one()}, degree {degree}")
         return group
@@ -347,7 +344,7 @@ class PermGroup:
 
     def _find(self, rows: np.ndarray) -> np.ndarray:
         """Row indices of image rows that are elements of the group."""
-        return np.searchsorted(self._keys, _keys(rows.astype(self._table.dtype)))
+        return np.searchsorted(self._keys, _keys(rows.astype(self._table.dtype, copy=False)))
 
     def _rows(self, perms) -> np.ndarray | None:
         """The rows of some Permutations, or None unless all lie in the group."""
@@ -441,14 +438,13 @@ class PermGroup:
         return frozenset(self._elements(self._cyclic_rows(row)))
 
     def _cyclic_rows(self, row: int) -> np.ndarray:
-        """The rows of <g>, g^k for k < ord g, the list of powers doubled by g^m * g^k."""
-        order = int(self._orders[row])
-        powers = np.arange(self.degree, dtype=np.intp)[None, :]
-        step = self._table[row].astype(np.intp)  # g^m for m = len(powers)
-        while len(powers) < order:
-            powers = np.concatenate([powers, step[powers]])
-            step = step[step]
-        return self._find(powers[:order])
+        """The rows of <g>: g^k for k < ord g, each made as g * g^(k-1)."""
+        g = self._table[row]
+        powers = np.empty((int(self._orders[row]), self.degree), dtype=g.dtype)
+        powers[0] = np.arange(self.degree)
+        for k in range(1, len(powers)):
+            powers[k] = g[powers[k - 1]]
+        return self._find(powers)
 
     def q_rank(self) -> dict[int, int]:
         """q-rank of an abelian group for every prime q dividing its order."""
@@ -652,7 +648,7 @@ def _regular_abelian(factors: list[int]) -> PermGroup:
     # int shared by the images of every generator
     points = np.arange(1, order + 1).astype(object).reshape(factors)
     gens = [Permutation(np.roll(points, -1, axis=i).ravel().tolist()) for i in range(len(factors))]
-    return PermGroup.generate(gens, degree=order)
+    return PermGroup.generate(gens)
 
 
 def _dihedral(s: Permutation, t: Permutation) -> DihedralStructure:
@@ -692,7 +688,7 @@ def parse_group_spec(text: str):
         # (12)(34) fixes two points, the image of (123) is a pair of 3-cycles
         a = Permutation.from_cycles([[3, 6], [4, 5]], 6)
         b = Permutation.from_cycles([[1, 3, 4], [2, 6, 5]], 6)
-        return PermGroup.generate([a, b], degree=6)
+        return PermGroup.generate([a, b])
     factors = cyclic_factors(text)
     if factors is not None:
         return _regular_abelian(factors)
@@ -701,12 +697,13 @@ def parse_group_spec(text: str):
         n = int(m.group(1))
         if n < 2:
             raise UnknownSpec(f"symmetric group degree must be >= 2: {text!r}")
-        if math.factorial(n) > DEFAULT_CLOSURE_CAP:
-            raise CapExceeded(f"|S{n}| = {math.factorial(n)} exceeds cap {DEFAULT_CLOSURE_CAP}")
+        # stops at the first k with k! past the cap, so n! is never made
+        if any(math.factorial(k) > DEFAULT_CLOSURE_CAP for k in range(n + 1)):
+            raise CapExceeded(f"|S{n}| = {n}! exceeds cap {DEFAULT_CLOSURE_CAP}")
         gens = [Permutation([i % n + 1 for i in range(1, n + 1)])]
         if n > 2:
             gens.append(Permutation.from_cycles([[1, 2]], n))
-        return PermGroup.generate(gens, degree=n)
+        return PermGroup.generate(gens)
     m = _DIH_RE.match(text)
     if m:
         n = int(m.group(1))

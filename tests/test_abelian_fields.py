@@ -256,6 +256,14 @@ def test_cap_enforced():
         enumerate_records(C2, frozenset(), 10 ** 7)
 
 
+def test_unknown_semantics_is_refused():
+    """Both counters refuse a semantics they do not know, rather than reading it as subgroup."""
+    with pytest.raises(ValueError, match="unknown semantics"):
+        count_stratified(C2, frozenset(), [100], 0, semantics="bogus")
+    with pytest.raises(ValueError, match="unknown semantics"):
+        enumerate_records(C2, frozenset(), 100, semantics="bogus")
+
+
 def test_semantics_flag_differs():
     # Omega = {order-2 element} in C4: a tame 1 mod 4 prime mapping onto C4
     # meets Omega as a subgroup but its generator is outside Omega

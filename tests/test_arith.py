@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -193,6 +194,29 @@ def test_invariant_factors_chain(orders):
         for k in range(1, max(valuation(m, p) for m in orders) + 1):
             assert (sum(1 for d in factors if d % p ** k == 0)
                     == sum(1 for m in orders if m % p ** k == 0)), (p, k)
+
+
+def _orders_of_elements(orders):
+    """How many elements of the product of the C_m have each order, counted one by one."""
+    counts = {}
+    for element in itertools.product(*(range(m) for m in orders)):
+        order = math.lcm(*(m // math.gcd(m, c) for m, c in zip(orders, element)))
+        counts[order] = counts.get(order, 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("seed", range(100))
+def test_invariant_factors_give_the_same_group(seed):
+    """A divisibility chain whose product has as many elements of each order as the input's."""
+    rng = random.Random(seed)
+    orders = []
+    for m in (rng.randint(1, 30) for _ in range(rng.randint(0, 6))):
+        if math.prod(orders) * m <= 2000:
+            orders.append(m)
+    factors = invariant_factors(orders)
+    assert all(d > 1 for d in factors)
+    assert all(b % a == 0 for a, b in zip(factors, factors[1:]))
+    assert _orders_of_elements(factors) == _orders_of_elements(orders), orders
 
 
 def test_is_prime_matches_trial_division():

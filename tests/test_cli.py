@@ -48,16 +48,18 @@ def test_group_bad_spec_exit_2(capsys):
     assert "error" in err
 
 
-@pytest.mark.parametrize("spec", ["S8", "C10001", "C2xC5001", "D5001@reg", "D5001@S5001"])
+@pytest.mark.parametrize("spec", ["S8", "C10001", "C2xC5001", "D5001@reg", "D5001@S5001",
+                                  "S1559", "S99999999999999999999"])
 def test_group_order_cap_exit_4(capsys, monkeypatch, spec):
-    """Each spec is refused by its order; a dihedral one before its closure is built."""
+    """Each spec is refused by its order; a dihedral or symmetric one before its closure
+    is built, and Sn without making n!, which past S1558 has more digits than str() gives."""
     reached = []
 
     def generate(*args, **kwargs):
         reached.append(spec)
         raise AssertionError("the closure was built")
 
-    if spec.startswith("D"):
+    if spec.startswith(("D", "S")):
         monkeypatch.setattr(permgroup.PermGroup, "generate", generate)
     code, out, err = run(capsys, "group", spec)
     assert code == 4 and out == "" and not reached
@@ -352,6 +354,35 @@ def test_fit_roundtrip(tmp_path, capsys):
     jsonschema.validate(report, load_schema("fit_report.schema.json"))
     assert abs(report["log_exp"] + 1) < 0.2
     assert abs(report["loglog_exp"] - 2) < 0.2
+
+
+@pytest.mark.parametrize("argv", [
+    ["asymptotic", "fit", "--csv", "{tmp}", "--loglog-exp", "1e400"],
+    ["asymptotic", "predict", "--kind", "abelian", "--params", "beta_complement=1e-999999,r=3"],
+    ["asymptotic", "predict", "--kind", "abelian", "--params", "beta_complement=1e9999999,r=3"],
+    ["asymptotic", "predict", "--kind", "dq_upper", "--params", "r=1e5000"],
+    ["abelian", "C2", "--checkpoints", "1e-9999999"],
+    ["abelian", "C2", "--checkpoints", "1e3", "--cap", "1e-9999999"],
+])
+def test_numbers_outside_float_range_are_refused_at_once(tmp_path, capsys, argv):
+    """Each literal is too large for a float, or nonzero and below its range; read exactly, it
+    overflowed a float later or took seconds per exponent digit to expand."""
+    import time
+
+    path = tmp_path / "table.csv"
+    path.write_text("x,N\n1000,300\n10000,2500\n100000,21000\n1000000,180000\n")
+    start = time.perf_counter()
+    code, out, err = run(capsys, *(arg.format(tmp=path) for arg in argv))
+    assert time.perf_counter() - start < 2
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text, value", [("1e6", 10 ** 6), ("1/2", Fraction(1, 2)),
+                                         ("-3/2", Fraction(-3, 2)), ("2.5", Fraction(5, 2)),
+                                         ("0.1", Fraction(1, 10)), ("0e-9999999", 0)])
+def test_numbers_are_read_exactly(text, value):
+    assert cli._number(text, "x") == value
 
 
 @pytest.mark.parametrize("exponent", ["-3/2", "-1", "-.5"])

@@ -15,7 +15,7 @@ EXIT_CODES = {0, 2, 3, 4, 5}
 # abelian specs with a prime dividing the order, so q:inf and q:1 select elements
 ABELIAN = {"C2": 2, "C3": 3, "C4": 2, "C2xC2": 2, "C6": 3, "C2xC4": 2, "C7": 7}
 # malformed, non-positive, overflowing or out-of-order checkpoint tokens
-BAD_TOKENS = ["0", "-3", "1e400", "nan", "inf", "abc", "", "1e3"]
+BAD_TOKENS = ["0", "-3", "1e400", "nan", "inf", "abc", "", "1e3", "1e-9999999"]
 
 
 def _pick(draw, valid, invalid):
@@ -72,7 +72,7 @@ def quadratic_argv(draw):
 GROUP_SPECS = ["C2", "C3", "C6", "C2xC2", "C2xC4", "S3", "S4", "D4@S4", "D5@S5", "D4@reg",
                "A4@S6"]
 BAD_GROUP_SPECS = ["C1", "C0", "S1", "D2@S2", "D4@S5", "C2xS3", "", "G", "C100000", "S99", "Cx",
-                   "D@S", "A5@S6"]
+                   "D@S", "A5@S6", "S1559", "S99999999999999999999"]
 
 
 @st.composite
@@ -84,7 +84,8 @@ def group_argv(draw):
 
 
 # fractions, flags, malformed values and a zero denominator for --params
-PARAM_VALUES = ["1", "0", "-1", "2", "1/2", "-3/4", "true", "false", "1/0", "abc", "2.5", "1e3"]
+PARAM_VALUES = ["1", "0", "-1", "2", "1/2", "-3/4", "true", "false", "1/0", "abc", "2.5", "1e3",
+                "1e999999", "1e-999999"]
 PARAM_KEYS = ["beta_complement", "r", "omega_empty", "beta_F_complement", "beta_F", "beta1",
               "bogus"]
 
@@ -128,7 +129,7 @@ def fit_argv(draw):
     if draw(st.integers(0, 9)):
         argv += ["--csv", draw(st.sampled_from(["{tmp}/fit.csv"] * 5 + ["{tmp}/missing.csv"]))]
     return argv + _option(draw, "--loglog-exp", st.sampled_from(["1", "0", "1/2", "-1"]),
-                          st.sampled_from(["abc", "1/0", ""]))
+                          st.sampled_from(["abc", "1/0", "", "1e400"]))
 
 
 # profile lines: exponent vectors, inertia classes, ranks, groups and junk

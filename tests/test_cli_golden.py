@@ -56,6 +56,11 @@ GOLDEN = [
     ("group C2xC2xC2xC2", "5c0ffd374a35b2c08e01b962c503b791978cb54d1308f9a3fe64846c02c5a7f1"),
     ("group D15@reg", "ffaa8fa18513b9a5825718e6ea50528dbf67999ba581d995b13f0c03611e4dc3"),
     ("group D10@S10", "f5f9d337e2935e4965e61569846a23a00d7b33b63a6f36a5e5a2dafe584a1f60"),
+    # closures of three or more generators, whose levels take rows from several steps
+    ("group C2xC2xC2xC2xC2xC2xC2",
+     "93b29faffd22afc4d640f6de347d270f6e640ceffb4d2d83f77dbad324eebb97"),
+    ("group C3xC3xC3", "eaeade9704a9a4bddb0442d9ab81e79a8c7e9a288243506c8cc9a9862109a9c1"),
+    ("group C2xC4xC8", "2c3488c589a79e08d8ff32645222108e3f5064c26ed14768d2e02af395d1d00f"),
 ]
 
 # inputs of the file-reading commands: the cubic and quartic profiles of the

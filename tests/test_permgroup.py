@@ -61,6 +61,8 @@ def test_composition_and_inverse():
 def test_degree_mismatch():
     with pytest.raises(DegreeMismatch):
         cyc("(1 2)", 2) * cyc("(1 2)", 3)
+    with pytest.raises(DegreeMismatch):
+        PermGroup.generate([cyc("(1 2 3)", 3), cyc("(1 2)", 2)])
 
 
 def test_cycle_parse_roundtrip():
@@ -71,6 +73,12 @@ def test_cycle_parse_roundtrip():
         Permutation.parse("(1 2", 4)
     with pytest.raises(ParseError):
         Permutation.parse("(1 9)", 4)
+
+
+@pytest.mark.parametrize("text", ["(1 a)", "(1 2.5)", "(x)"])
+def test_cycle_parse_refuses_a_point_that_is_no_integer(text):
+    with pytest.raises(ParseError):
+        Permutation.parse(text, 4)
 
 
 # -- closure -------------------------------------------------------------------
