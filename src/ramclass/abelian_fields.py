@@ -248,13 +248,12 @@ def _checkpoint_counts(x, r_max, setups, exponent, primes, dtype):
     S(v // p) - S(p) then sums the supports above 1 of primes > p.  Blocks of
     BLOCK floor values go from the largest v down, and each reads S at
     v // p < v, where no block has written yet.  The counts, as Python ints,
-    are sum(mu S(n)), plus mu in row 0 for the empty support.
+    are sum(mu S(n)); the empty support adds sum(mu) = 0, as G != 1.
     """
     n, rows = x - 1, r_max + 2
     column = [0] * rows
     if n < 1:
         return column
-    column[0] = sum(mu for mu, _ in setups)
     table = prime_counts_mod(n, exponent)
     values = floor_values(n)
     wild = {p % exponent: p for p in prime_factors(exponent)}
@@ -296,7 +295,8 @@ def _build_setups(group, omega, semantics):
     <t, u> lies in H exactly when t and u do, so the class counts no hit and
     the product of the two counts in H, less the trivial map, as misses.
     Subgroups with the same local data count the same supports, so their
-    terms are merged by adding mu; merged terms with mu = 0 are dropped.
+    terms are merged by adding mu; merged terms with mu = 0 are dropped, and so
+    is the term with no class data, the trivial subgroup's, whose counts stay 0.
     """
     lattice = subgroup_moebius(group)
     exponent = group.exponent
@@ -325,7 +325,7 @@ def _build_setups(group, omega, semantics):
                 class_ab.append((c, ab))
         key = tuple(class_ab)
         merged[key] = merged.get(key, 0) + mu
-    return [(mu, dict(class_ab)) for class_ab, mu in merged.items() if mu]
+    return [(mu, dict(class_ab)) for class_ab, mu in merged.items() if mu and class_ab]
 
 
 def _physical_memory() -> int:

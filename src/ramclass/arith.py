@@ -16,6 +16,7 @@ their engines on purpose.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 
 import numpy as np
@@ -130,25 +131,23 @@ def class_progressions(progressions, r: int, m: int) -> list[tuple[int, int]]:
                     (step // np.gcd(step, m)).tolist()))
 
 
+@functools.lru_cache(maxsize=1)  # a scan asks for the same top window after window
 def square_progressions(top: int, r: int = 0, m: int = 1) -> tuple[tuple[int, int], ...]:
     """The multiples of the odd prime squares p^2 <= top as progressions of i, n = r + m * i.
 
-    The progressions (start, step) come ascending by start.  A caller that sieves
-    many windows of one range makes them once, for the range's largest n, and passes
-    them to each window.
+    The progressions (start, step) come ascending by start.
     """
     squares = sieve_primes(math.isqrt(max(top, 0)) + 1)[1:] ** 2
     return tuple(sorted(class_progressions(np.stack([squares] * 2, 1), r, m)))
 
 
-def odd_squarefree(lo: int, hi: int, r: int = 0, m: int = 1, squares=None) -> np.ndarray:
+def odd_squarefree(lo: int, hi: int, r: int = 0, m: int = 1) -> np.ndarray:
     """Flags for n = r + m * i, i in [lo, hi), that no odd prime square divides; 0 is excluded.
 
-    squares: square_progressions(top, r, m) for a top >= r + m * (hi - 1), made here
-    if not given.  Only the progressions that start below hi are walked.
+    The squares are square_progressions' for the least power of two >= the last n, one
+    list for a scan's windows up to it; only those that start below hi are walked.
     """
-    if squares is None:
-        squares = square_progressions(r + m * (hi - 1), r, m)
+    squares = square_progressions(1 << max(r + m * (hi - 1) - 1, 0).bit_length(), r, m)
     # (hi,) sorts before every progression (hi, step)
     flags = progression_counts(lo, hi, squares[:bisect.bisect_left(squares, (hi,))])
     flags = np.logical_not(flags, out=flags.view(bool))  # in place: one byte per n
@@ -157,9 +156,9 @@ def odd_squarefree(lo: int, hi: int, r: int = 0, m: int = 1, squares=None) -> np
     return flags
 
 
-def segmented_squarefree(lo: int, hi: int, squares=None) -> np.ndarray:
-    """Squarefree flags for n in [lo, hi); 0 is not squarefree.  squares as in odd_squarefree."""
-    flags = odd_squarefree(lo, hi, squares=squares)
+def segmented_squarefree(lo: int, hi: int) -> np.ndarray:
+    """Squarefree flags for n in [lo, hi); 0 is not squarefree."""
+    flags = odd_squarefree(lo, hi)
     flags[-lo % 4::4] = False
     return flags
 

@@ -27,7 +27,6 @@ from .arith import (
     progression_counts,
     segmented_squarefree,
     sieve_primes,
-    square_progressions,
 )
 from .errors import (
     BadResidue,
@@ -281,7 +280,6 @@ def summatory_oracle(kind: str, x: int, **params) -> float:
         root = math.isqrt(n)
         small = sieve_primes(root + 1)
         progressions = [(p, p) for p in small.tolist()]
-        squares = square_progressions(n)
         total = 0
         for lo in range(0, x, SUMMATORY_WINDOW):
             hi = min(lo + SUMMATORY_WINDOW, x)
@@ -289,7 +287,7 @@ def summatory_oracle(kind: str, x: int, **params) -> float:
             # per value: a masked copy, or bincount's cast to int64, costs 8 bytes per m
             shifted = progression_counts(lo, hi, progressions)
             shifted += 1
-            shifted *= segmented_squarefree(lo, hi, squares)
+            shifted *= segmented_squarefree(lo, hi)
             total += sum(np.count_nonzero(shifted == w + 1) << w
                          for w in range(int(shifted.max())))
         # the one prime q > root of m = q * c, c <= root squarefree, doubles 2^omega(c):

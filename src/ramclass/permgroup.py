@@ -628,10 +628,13 @@ def h_p(structure: DihedralStructure, p: int, subset) -> int:
 _PRODUCT_RE = re.compile(r"C\d+(?:xC\d+)*")
 _SYM_RE = re.compile(r"^S(\d+)$")
 _DIH_RE = re.compile(r"^D(\d+)@(S(\d+)|reg)$")
+_HUGE_RE = re.compile(r"[1-9]\d{5,}")  # a number past 99 999, above every group-order cap
 
 
 def cyclic_factors(text: str) -> list[int] | None:
     """The factors m, n, ... of a spec ``Cm`` or ``CmxCn...``; None for any other spec."""
+    if huge := _HUGE_RE.search(text):  # unread; parse_group_spec asks here first for S, D too
+        raise CapExceeded(f"a spec number of {len(huge[0])} digits exceeds every group-order cap")
     if not _PRODUCT_RE.fullmatch(text):
         return None
     factors = [int(part[1:]) for part in text.split("x")]

@@ -23,7 +23,6 @@ exact integer sums, so the output is the same for every --jobs.
 
 from __future__ import annotations
 
-import functools
 import math
 import os
 from dataclasses import dataclass
@@ -31,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import (class_progressions, is_squarefree, odd_squarefree, omega, omega_sieve,
-                    progression_counts, radical, segmented_squarefree, square_progressions)
+                    progression_counts, radical, segmented_squarefree)
 from .errors import CapExceeded, EmptyRange, NotFundamental
 
 SCAN_ORDERS = ("radical", "absdisc")
@@ -235,20 +234,10 @@ def _rank2_histogram(amb: np.ndarray, fields: int) -> np.ndarray:
     return hist
 
 
-@functools.lru_cache(maxsize=1)  # a scan runs its windows class by class
-def _class_squares(top: int, cls) -> tuple[tuple[int, int], ...]:
-    """The odd prime squares of a class scan that stops below index top: one sieve per process."""
+def _class_ambiguous(lo: int, hi: int, cls) -> tuple[np.ndarray, np.ndarray]:
+    """Field flags of the class window i in [lo, hi), and the ambiguous counts, 0 off the fields."""
     r, m, _ = cls
-    return square_progressions(r + m * (top - 1), r, m)
-
-
-def _class_ambiguous(lo: int, hi: int, cls, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """Field flags of the class window i in [lo, hi), and the ambiguous counts, 0 off the fields.
-
-    top is the end of the class's whole scan, so all its windows share one square sieve.
-    """
-    r, m, _ = cls
-    fields = odd_squarefree(lo, hi, r, m, _class_squares(top, cls))
+    fields = odd_squarefree(lo, hi, r, m)
     amb = segmented_ambiguous(lo, hi, r, m)
     amb *= fields  # in place: one int16 and one flag byte per index
     return fields, amb
@@ -261,7 +250,7 @@ def _tally_segment(args):
     window is tallied run by run between consecutive bounds.
     """
     lo, hi, cls, order, checkpoints = args
-    fields, amb = _class_ambiguous(lo, hi, cls, _index_bound(checkpoints[-1], cls, order))
+    fields, amb = _class_ambiguous(lo, hi, cls)
     grid = np.zeros((len(checkpoints), 16), dtype=np.int64)
     start, hist = lo, np.zeros(16, dtype=np.int64)
     for j, x in enumerate(checkpoints):
@@ -325,8 +314,7 @@ def genus_sweep(max_abs_d: int) -> tuple[int, list[int]]:
     checked, bad = 0, []
     for cls in IMAGINARY_CLASSES:
         r, m, _ = cls
-        top = _index_bound(max_abs_d + 1, cls)
-        fields, amb = _class_ambiguous(0, top, cls, top)
+        fields, amb = _class_ambiguous(0, _index_bound(max_abs_d + 1, cls), cls)
         checked += int(_rank2_histogram(amb, np.count_nonzero(fields)).sum())
         power = 1 << w[r::m].astype(amb.dtype)
         bad.append(r + m * np.flatnonzero(fields & (amb != power) & (amb != power >> 1)))

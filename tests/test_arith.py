@@ -6,12 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ramclass import arith
 from ramclass.arith import (
     class_progressions,
     floor_index,
     floor_values,
     invariant_factors,
     is_prime,
+    odd_squarefree,
     omega_sieve,
     prime_counts_mod,
     prime_factors,
@@ -139,6 +141,22 @@ def test_segmented_squarefree_matches_trial_division(lo, width, data):
     mid = data.draw(st.integers(lo, hi))
     split = np.concatenate([segmented_squarefree(lo, mid), segmented_squarefree(mid, hi)])
     assert np.array_equal(split, flags)
+
+
+def test_odd_squarefree_sieves_once_per_power_of_two(monkeypatch):
+    sieved = []
+
+    def counted(limit):
+        sieved.append(limit)
+        return sieve_primes(limit)
+
+    monkeypatch.setattr(arith, "sieve_primes", counted)
+    arith.square_progressions.cache_clear()
+    r, m, width, top = 3, 4, 1000, 10 ** 5
+    windows = [odd_squarefree(lo, lo + width, r, m) for lo in range(0, top, width)]
+    # the last n of the windows, 3 999 to 399 999, pass 8 powers of two: 2^12 to 2^19
+    assert len(sieved) == 8
+    assert np.array_equal(np.concatenate(windows), odd_squarefree(0, top, r, m))
 
 
 @given(st.integers(0, 3000), st.integers(0, 300),

@@ -48,19 +48,25 @@ def test_group_bad_spec_exit_2(capsys):
     assert "error" in err
 
 
+# a spec number past the 4 300 digits that int() reads from a string
+NINES = "9" * 5000
+
+
 @pytest.mark.parametrize("spec", ["S8", "C10001", "C2xC5001", "D5001@reg", "D5001@S5001",
-                                  "S1559", "S99999999999999999999"])
+                                  "S1559", "S99999999999999999999"] + [
+    pytest.param(spec.format(NINES), id=spec.format("9x5000"))
+    for spec in ("C{}", "S{}", "D{}@reg", "D3@S{}", "C2xC{}")])
 def test_group_order_cap_exit_4(capsys, monkeypatch, spec):
-    """Each spec is refused by its order; a dihedral or symmetric one before its closure
-    is built, and Sn without making n!, which past S1558 has more digits than str() gives."""
+    """Each spec is refused by its order before its closure is built, Sn without making n!,
+    which past S1558 has more digits than str() gives, and a number of thousands of digits
+    before int() reads it."""
     reached = []
 
     def generate(*args, **kwargs):
         reached.append(spec)
         raise AssertionError("the closure was built")
 
-    if spec.startswith(("D", "S")):
-        monkeypatch.setattr(permgroup.PermGroup, "generate", generate)
+    monkeypatch.setattr(permgroup.PermGroup, "generate", generate)
     code, out, err = run(capsys, "group", spec)
     assert code == 4 and out == "" and not reached
     assert err.startswith("error:") and len(err.splitlines()) == 1
@@ -149,6 +155,7 @@ def test_abelian_cap_exit_4(capsys):
     ["C99999999999999999999999", "--checkpoints", "1e3"],  # refused before it is factored
     ["C2xC4", "--checkpoints", "1e3", "--cap", "0"],
     ["C2xC4", "--checkpoints", "1e5", "--cap", "1e4"],
+    [f"C{NINES}", "--checkpoints", "100"],  # refused before int() reads it
 ])
 def test_abelian_cap_cases_exit_4(capsys, argv):
     code, out, err = run(capsys, "abelian", *argv)

@@ -72,7 +72,8 @@ def quadratic_argv(draw):
 GROUP_SPECS = ["C2", "C3", "C6", "C2xC2", "C2xC4", "S3", "S4", "D4@S4", "D5@S5", "D4@reg",
                "A4@S6"]
 BAD_GROUP_SPECS = ["C1", "C0", "S1", "D2@S2", "D4@S5", "C2xS3", "", "G", "C100000", "S99", "Cx",
-                   "D@S", "A5@S6", "S1559", "S99999999999999999999"]
+                   "D@S", "A5@S6", "S1559", "S99999999999999999999"] + [
+    spec.format("9" * 5000) for spec in ("C{}", "S{}", "D{}@reg", "D3@S{}")]
 
 
 @st.composite

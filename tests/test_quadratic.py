@@ -1,3 +1,4 @@
+import itertools
 import os
 from unittest.mock import patch
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ramclass import quadratic
-from ramclass.arith import odd_squarefree
+from ramclass.arith import odd_squarefree, prime_factors
 from ramclass.errors import CapExceeded, EmptyRange, NotFundamental
 from ramclass.quadratic import (
     ENUMERATION_CAP,
@@ -138,16 +139,34 @@ def test_segmented_ambiguous_matches_divisor_sweep_on_segments(lo, half_width):
     assert [int(c) for c in seg] == [ambiguous_count(-n) for n in range(lo, hi)]
 
 
+def _odd_squarefree_slow(n):
+    return n != 0 and all(n % (p * p) for p in prime_factors(n) if p > 2)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(quadratic.IMAGINARY_CLASSES + quadratic.REAL_CLASSES),
-       st.integers(0, 10 ** 4), st.integers(0, 300))
-def test_class_sieves_read_the_full_sieves_at_their_class(cls, lo, width):
+       st.integers(0, 10 ** 4), st.integers(0, 300), st.integers(2, 16),
+       st.lists(st.integers(1, 100), min_size=2, max_size=6),
+       st.sampled_from(["ascending", "descending", "interleaved"]))
+def test_class_sieves_read_the_full_sieves_at_their_class(cls, lo, width, k, widths, order):
     r, m, _ = cls
     hi = lo + width
     first, stop = r + m * lo, r + m * hi
     full = segmented_ambiguous(first, stop)[::m]
     assert segmented_ambiguous(lo, hi, r, m).tolist() == full.tolist()
     assert odd_squarefree(lo, hi, r, m).tolist() == odd_squarefree(first, stop)[::m].tolist()
+    # windows around the index where n passes 2^k, and with it the power of two whose
+    # square progressions odd_squarefree shares, each sieved in the drawn order
+    start = max(-((r - 2 ** k) // m) - sum(widths) // 2, 0)
+    cuts = list(itertools.accumulate(widths, initial=start))
+    windows = list(zip(cuts, cuts[1:]))
+    if order == "descending":
+        windows.reverse()
+    elif order == "interleaved":  # from both ends inwards, so each window evicts the last
+        windows = [w for pair in zip(windows, windows[::-1]) for w in pair][:len(windows)]
+    for a, b in windows:
+        assert odd_squarefree(a, b, r, m).tolist() == [
+            _odd_squarefree_slow(r + m * i) for i in range(a, b)], (a, b)
 
 
 def test_ambiguous_counts_exact_for_every_n():
