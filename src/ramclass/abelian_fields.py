@@ -24,15 +24,15 @@ from __future__ import annotations
 
 import functools
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count as _icount, product as _iproduct
 
 import numpy as np
 
-from .arith import (euler_phi, floor_index, floor_values, invariant_factors, is_prime,
-                    prime_counts_mod, prime_factors, sieve_primes, valuation)
+from .arith import (SIEVE_WINDOW, euler_phi, floor_index, floor_values, invariant_factors,
+                    is_prime, prime_counts_mod, prime_factors, sieve_primes, valuation)
+from .arith import physical_memory as _physical_memory  # a module name tests can replace
 from .errors import CapExceeded, EmptyRange, NotClosed, TamePrime, WildPrime
 
 DEFAULT_ORDER_CAP = 64
@@ -328,11 +328,6 @@ def _build_setups(group, omega, semantics):
     return [(mu, dict(class_ab)) for class_ab, mu in merged.items() if mu and class_ab]
 
 
-def _physical_memory() -> int:
-    """Bytes of physical memory on this machine."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
 def _cell_bound(setups, exponent, xmax) -> int:
     """An upper bound of every cell that _checkpoint_counts holds below xmax.
 
@@ -357,7 +352,8 @@ def _cell_bound(setups, exponent, xmax) -> int:
 def _memory_needed(checkpoints, exponent, rows, cell) -> int:
     """Bytes that count_stratified allocates at its peak, an upper bound.
 
-    The sieve below sqrt(xmax), a flag byte per two n, with an int64 and two
+    The sieve below s = sqrt(xmax): one window of at most SIEVE_WINDOW flags,
+    each with an int64 index and two int64 temporaries, and an int64 and two
     list entries per prime, as pi(s) < 1.26 s / log s (Rosser and Schoenfeld);
     then, for the largest checkpoint x, at most 2 sqrt(x) + 1 floor values:
     the phi(e) int64 table of pi(v; e, c), with 2 phi(e) + 6 such rows of
@@ -371,7 +367,7 @@ def _memory_needed(checkpoints, exponent, rows, cell) -> int:
     primes = int(1.26 * s / math.log(max(s, 3))) + 1
     size = 2 * math.isqrt(checkpoints[-1]) + 1
     block = min(size, BLOCK)
-    return (s // 2 + 72 * primes + 8 * (3 * euler_phi(exponent) + 9) * size
+    return (25 * min(s // 2, SIEVE_WINDOW) + 72 * primes + 8 * (3 * euler_phi(exponent) + 9) * size
             + cell * rows * (size + 4 * block) + 48 * block)
 
 

@@ -5,9 +5,10 @@ package: the prime sieve, the prime counts per residue class at the floor
 values of n, the one strided-count loop behind the squarefree, omega and
 ambiguous-form sieves (and the map that cuts its progressions to one residue
 class), trial division, Miller-Rabin and invariant factors.
-The two sieves over all of [0, x) hold about one byte per n: the prime sieve
-keeps one flag per odd n only, and the omega sieve keeps its int8 counts and
-no cofactor array, counting the one prime above sqrt(x) by its cofactor.
+The prime sieve holds one window of SIEVE_WINDOW flags, one per odd n,
+besides the primes it returns; the omega sieve over [0, x) keeps its int8
+counts, one byte per n, and no cofactor array, counting the one prime above
+sqrt(x) by its cofactor in chunks of half a window.
 The engines import them from here.  The independent oracles that test them
 (``dirichlet.segmented_primes``, ``quadratic.reduced_forms``, ...) stay with
 their engines on purpose.
@@ -18,30 +19,63 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import os
 
 import numpy as np
 
 from .errors import CapExceeded
 
+SIEVE_WINDOW = 2 ** 17  # flags, one per odd n, per window of sieve_primes: 128 KB
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory on this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
 
 def sieve_primes(limit: int) -> np.ndarray:
-    """All primes below ``limit``, ascending, by the sieve of Eratosthenes on odd n.
+    """All primes below ``limit``, ascending, by a segmented sieve of Eratosthenes on odd n.
 
-    One flag per odd n: flag i stands for 2i + 1, so the sieve holds limit // 2
-    bytes.  Flag 0, for n = 1, is left set and becomes the prime 2, so the primes
-    are made in place from the one array of flag indices.
+    Flag i stands for 2i + 1.  The flags are sieved SIEVE_WINDOW at a time (Bays
+    and Hudson, 1977): first by the odd primes that earlier windows found, each
+    from its first odd multiple in the window, then by the primes of the window
+    whose squares fall in it, from p * p (only the first window has any).  Each
+    window's primes go straight into one int64 array, allocated once at the
+    Rosser-Schoenfeld bound of their count, whose pages stay untouched until
+    written, and cut to the count in place at the end: the sieve holds one
+    window of flags besides its output.  Flag 0, for n = 1, is left set and
+    becomes the prime 2.  An output bound beyond physical memory raises
+    CapExceeded before any array exists.
     """
     if limit <= 2:
         return np.zeros(0, dtype=np.int64)
-    flags = np.ones(limit // 2, dtype=bool)
-    for i in range(1, (math.isqrt(limit - 1) + 1) // 2):
-        if flags[i]:
+    # pi(x) < 1.25506 x / log x for x > 1 (Rosser and Schoenfeld, 1962); + 1 for the rounding
+    bound = int(1.25506 * limit / math.log(limit)) + 1
+    have = physical_memory()
+    if 8 * bound > have:
+        raise CapExceeded(f"the primes below {limit} need up to {8 * bound / 2 ** 30:.1f} GiB, "
+                          f"more than the {have / 2 ** 30:.1f} GiB of physical memory")
+    primes = np.empty(bound, dtype=np.int64)
+    count = 0
+    for lo in range(0, limit // 2, SIEVE_WINDOW):
+        hi = min(lo + SIEVE_WINDOW, limit // 2)
+        flags = np.ones(hi - lo, dtype=bool)
+        # the odd primes found so far whose squares fall below the window's last n, 2 hi - 1;
+        # p's odd multiples are the flags p // 2 + j p, and p lies in an earlier window, so
+        # every one from the window's start on is composite
+        for p in primes[1:bisect.bisect_right(primes, math.isqrt(2 * hi - 1), 1, count)].tolist():
+            flags[(p // 2 - lo) % p::p] = False
+        for i in range(max(lo, 1), hi):
             p = 2 * i + 1
-            flags[p * p // 2::p] = False
-    primes = np.flatnonzero(flags).astype(np.int64, copy=False)
-    primes *= 2
-    primes += 1
+            if p * p // 2 >= hi:
+                break
+            if flags[i - lo]:
+                flags[p * p // 2 - lo::p] = False
+        found = np.flatnonzero(flags)
+        primes[count:count + len(found)] = 2 * (found + lo) + 1
+        count += len(found)
     primes[0] = 2
+    primes.resize(count, refcheck=False)
     return primes
 
 
@@ -168,19 +202,22 @@ def omega_sieve(limit: int) -> np.ndarray:
 
     Primes p up to isqrt(limit - 1) are counted as progressions p, 2p, ....
     Any other prime q dividing n < limit has q * q >= limit, so it is the only
-    one, and n = q * m with m < q: for each cofactor m, one vectorised step
-    counts every such q with q * m < limit.  No cofactor array is kept, so the
+    one, and n = q * m with m < q: for each cofactor m, one vectorised step per
+    half window of such q counts every q with q * m < limit.  No cofactor array
+    is kept and the products go to one buffer of half a window of int64, so the
     sieve holds one byte per n besides the primes.  omega(0) reads 0.
     """
     primes = sieve_primes(limit)
     split = int(np.searchsorted(primes, math.isqrt(max(limit - 1, 0)), side="right"))
     omega = progression_counts(0, limit, [(p, p) for p in primes[:split].tolist()])
-    large = primes[split:]
-    multiples = np.empty_like(large)  # reused by every step: no product array per step
+    large, chunk = primes[split:], SIEVE_WINDOW // 2
+    multiples = np.empty(min(len(large), chunk), dtype=np.int64)  # reused by every step
     m = 1
     while len(large) and m * int(large[0]) < limit:
         k = int(np.searchsorted(large, (limit - 1) // m, side="right"))
-        omega[np.multiply(large[:k], m, out=multiples[:k])] += 1
+        for lo in range(0, k, chunk):
+            part = large[lo:min(lo + chunk, k)]
+            omega[np.multiply(part, m, out=multiples[:len(part)])] += 1
         m += 1
     return omega
 

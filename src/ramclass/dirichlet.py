@@ -14,6 +14,7 @@ x - 1 (``arith.prime_counts_mod``), in O(sqrt(x) + window) memory.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,6 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from .arith import (
+    SIEVE_WINDOW,
     euler_phi,
     omega_sieve,
     prime_counts_mod,
@@ -50,6 +52,9 @@ class PrimeSieve:
         self.primes = sieve_primes(limit)
 
     def count_below(self, x: int) -> int:
+        """pi(x - 1); x beyond the limit, where the sieve would undercount, raises CapExceeded."""
+        if x > self.limit:
+            raise CapExceeded(f"x = {x} beyond sieve limit {self.limit}")
         return int(np.searchsorted(self.primes, x, side="left"))
 
 
@@ -80,40 +85,57 @@ class APClass:
             raise BadResidue(f"residue {self.n} mod {self.m} is not coprime")
 
 
+def _class_chunks(primes: np.ndarray, ap: APClass):
+    """The entries of ``primes`` in the class of ``ap``, ascending, one array per chunk.
+
+    A chunk is half a sieve window of primes, so no mask or residue array is
+    longer than that, whatever the length of ``primes``.
+    """
+    chunk = SIEVE_WINDOW // 2
+    for lo in range(0, len(primes), chunk):
+        part = primes[lo:lo + chunk]
+        yield part[part % ap.m == ap.n % ap.m]
+
+
 def primes_in_ap(sieve: PrimeSieve, ap: APClass, x: int,
                  want_list: bool = False):
     """Exact count (and optionally the list) of primes p < x with p = n mod m."""
-    if x > sieve.limit:
-        raise CapExceeded(f"x = {x} beyond sieve limit {sieve.limit}")
-    primes = sieve.primes[sieve.primes < x]
-    sel = primes[primes % ap.m == ap.n % ap.m]
+    chunks = _class_chunks(sieve.primes[:sieve.count_below(x)], ap)
     if want_list:
-        return len(sel), [int(p) for p in sel]
-    return len(sel)
+        found = [p for part in chunks for p in part.tolist()]
+        return len(found), found
+    return sum(len(part) for part in chunks)
 
 
 def mertens_ap(sieve: PrimeSieve, ap: APClass, checkpoints):
     """Rows (x, S(x), S(x) - loglog(x)/phi(m)) for S(x) the sum of 1/p in the class.
 
-    Accumulation runs over primes in ascending order, in place in one float array.
+    A checkpoint past the sieve's limit raises CapExceeded.  The class primes
+    below the last checkpoint are summed in ascending order, a chunk at a time:
+    each chunk's reciprocals take the running sum into their first entry and
+    are cumulated in place.  np.cumsum adds in sequence, so every partial sum
+    is bitwise that of one cumsum over the whole class.
     """
     checkpoints = sorted(int(x) for x in checkpoints)
     if not checkpoints:
         raise ValueError("need at least one checkpoint")
     if checkpoints[0] < 2:
         raise ValueError("checkpoints must be at least 2")
-    if checkpoints[-1] > sieve.limit:
-        raise CapExceeded(f"checkpoint {checkpoints[-1]} beyond sieve limit")
-    primes = sieve.primes[sieve.primes % ap.m == ap.n % ap.m]
-    cumulative = np.reciprocal(primes, dtype=np.float64)
-    np.cumsum(cumulative, out=cumulative)
+    sums, total = [], 0.0
+    for part in _class_chunks(sieve.primes[:sieve.count_below(checkpoints[-1])], ap):
+        if not len(part):
+            continue
+        run = np.reciprocal(part, dtype=np.float64)
+        run[0] += total
+        np.cumsum(run, out=run)
+        # the checkpoints x <= the chunk's last prime: every class prime below x is summed
+        for x in checkpoints[len(sums):bisect.bisect_right(checkpoints, int(part[-1]))]:
+            j = int(np.searchsorted(part, x, side="left"))
+            sums.append(float(run[j - 1]) if j else total)
+        total = float(run[-1])
+    sums += [total] * (len(checkpoints) - len(sums))
     phi = euler_phi(ap.m)
-    rows = []
-    for x in checkpoints:
-        idx = int(np.searchsorted(primes, x, side="left"))
-        s = float(cumulative[idx - 1]) if idx else 0.0
-        rows.append((x, s, s - math.log(math.log(x)) / phi))
-    return rows
+    return [(x, s, s - math.log(math.log(x)) / phi) for x, s in zip(checkpoints, sums)]
 
 
 @dataclass(frozen=True)

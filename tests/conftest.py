@@ -1,5 +1,6 @@
 import concurrent.futures
 import math
+import tracemalloc
 
 import pytest
 
@@ -14,6 +15,19 @@ C3_CHECKPOINTS = [10 ** 4, 10 ** 5, 10 ** 6, 10 ** 7]
 @pytest.fixture(scope="session")
 def sieve_10m():
     return PrimeSieve(10 ** 7)
+
+
+@pytest.fixture
+def traced_peak():
+    """peak(fn, *args): the tracemalloc peak, in bytes, of one call fn(*args)."""
+    def peak(fn, *args):
+        tracemalloc.start()
+        try:
+            fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return peak
 
 
 @pytest.fixture(scope="session")

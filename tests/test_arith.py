@@ -1,3 +1,4 @@
+import bisect
 import itertools
 import math
 import random
@@ -130,6 +131,54 @@ def test_sieve_primes_exact():
         assert sieve_primes(limit).tolist() == segmented_primes(0, limit), limit
     assert len(sieve_primes(10 ** 7)) == 664_579
     assert len(sieve_primes(10 ** 8)) == 5_761_455
+
+
+def test_sieve_primes_across_window_seams():
+    # every limit within 2 of the ends of the first three windows of odd n
+    seams = [2 * k * arith.SIEVE_WINDOW + d for k in (1, 2, 3) for d in range(-2, 3)]
+    want = np.array(segmented_primes(0, seams[-1]), dtype=np.int64)
+    for limit in seams:
+        got = sieve_primes(limit)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want[:np.searchsorted(want, limit)]), limit
+
+
+def test_sieve_primes_in_small_windows(monkeypatch):
+    # 64 flags a window: a seam every 128 n, and the base primes come from many windows
+    monkeypatch.setattr(arith, "SIEVE_WINDOW", 64)
+    want = segmented_primes(0, 5001)
+    for limit in range(5001):
+        assert sieve_primes(limit).tolist() == want[:bisect.bisect_left(want, limit)], limit
+
+
+def test_omega_sieve_in_small_chunks(monkeypatch):
+    # half a 64-flag window: 32 large primes a cofactor step
+    monkeypatch.setattr(arith, "SIEVE_WINDOW", 64)
+    want = _omega_slow(3000)
+    for limit in list(range(0, 3000, 7)) + [2999]:
+        assert omega_sieve(limit).tolist() == want[:limit], limit
+
+
+def test_sieve_primes_memory(traced_peak):
+    # the output at its bound, 6.0 MiB at 1e7, and one window of flags; no flag per odd n
+    assert traced_peak(sieve_primes, 10 ** 7) <= 7 * 2 ** 20
+
+
+def test_omega_sieve_memory(traced_peak):
+    # one int8 per n and the primes, and no int64 product per prime above sqrt(limit)
+    assert traced_peak(omega_sieve, 10 ** 7) <= 16 * 2 ** 20
+
+
+def test_sieve_primes_guards_physical_memory(monkeypatch, traced_peak):
+    # the output bound, 1.25506 x / log x int64, against physical memory, before any array
+    monkeypatch.setattr(arith, "physical_memory", lambda: 10 ** 5)
+
+    def refused():
+        with pytest.raises(CapExceeded, match="physical memory"):
+            sieve_primes(10 ** 7)
+
+    assert traced_peak(refused) < 2 ** 14
+    assert len(sieve_primes(10 ** 4)) == 1229  # a bound of 1 363 primes, 10.9 kB, fits
 
 
 @given(st.integers(0, 5000), st.integers(1, 1500), st.data())

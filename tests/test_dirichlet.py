@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ramclass import dirichlet
-from ramclass.arith import is_squarefree, omega, omega_sieve, segmented_squarefree
+from ramclass.arith import euler_phi, is_squarefree, omega, omega_sieve, segmented_squarefree
 from ramclass.dirichlet import (
     SINGULARITY_IDENTITY,
     SUMMATORY_CAP,
@@ -98,6 +98,55 @@ def test_mertens_halving_drift(sieve):
                 continue
             rows = mertens_ap(sieve, APClass(m, n), [5 * 10 ** 5, 10 ** 6])
             assert abs(rows[1][2] - rows[0][2]) < 0.02, (m, n)
+
+
+def test_count_below_refuses_past_the_limit():
+    small = PrimeSieve(100)
+    assert small.count_below(100) == 25 and small.count_below(2) == 0
+    # past the limit the sieve would count only the 25 primes it holds
+    with pytest.raises(CapExceeded, match="beyond sieve limit"):
+        small.count_below(1000)
+    with pytest.raises(CapExceeded, match="beyond sieve limit"):
+        primes_in_ap(small, APClass(4, 1), 101)
+
+
+def _mertens_reference(sieve, ap, checkpoints):
+    """mertens_ap's rows from one cumsum over every class prime."""
+    primes = sieve.primes[sieve.primes % ap.m == ap.n % ap.m]
+    cumulative = np.cumsum(np.reciprocal(primes, dtype=np.float64))
+    rows = []
+    for x in sorted(checkpoints):
+        idx = int(np.searchsorted(primes, x, side="left"))
+        s = float(cumulative[idx - 1]) if idx else 0.0
+        rows.append((x, s, s - math.log(math.log(x)) / euler_phi(ap.m)))
+    return rows
+
+
+@pytest.mark.parametrize("window", [64, None], ids=["64", "default"])
+def test_mertens_rows_equal_one_cumsum(sieve, monkeypatch, window):
+    # checkpoints at every chunk's first and last prime and their neighbours, for every
+    # class mod m <= 12; 64 puts a seam every 32 primes, the default one at 65 536
+    if window:
+        monkeypatch.setattr(dirichlet, "SIEVE_WINDOW", window)
+    chunk = dirichlet.SIEVE_WINDOW // 2
+    primes = sieve.primes[:8 * chunk] if window else sieve.primes
+    ends = {int(p) + d for p in np.concatenate([primes[chunk - 1::chunk], primes[::chunk]])
+            for d in (-1, 0, 1)}
+    checkpoints = sorted(ends - {1} | {3, sieve.limit})
+    for m in range(1, 13):
+        for n in range(m):
+            if math.gcd(m, n) == 1:
+                ap = APClass(m, n)
+                want = _mertens_reference(sieve, ap, checkpoints)
+                assert mertens_ap(sieve, ap, checkpoints) == want, (m, n)
+
+
+@pytest.mark.parametrize("a", [1, 3])
+def test_class_selection_memory(sieve_10m, traced_peak, a):
+    # half a window of primes at a time, not a residue, a mask and a copy of all 664 579
+    checkpoints = range(10 ** 6, 10 ** 7 + 1, 10 ** 6)
+    assert traced_peak(mertens_ap, sieve_10m, APClass(4, a), checkpoints) <= 1.5 * 2 ** 20
+    assert traced_peak(primes_in_ap, sieve_10m, APClass(4, a), 10 ** 7) <= 1.5 * 2 ** 20
 
 
 # -- Tauberian main terms -----------------------------------------------------------
