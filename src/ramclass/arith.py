@@ -5,10 +5,13 @@ package: the prime sieve, the prime counts per residue class at the floor
 values of n, the one strided-count loop behind the squarefree, omega and
 ambiguous-form sieves (and the map that cuts its progressions to one residue
 class), trial division, Miller-Rabin and invariant factors.
-The prime sieve holds one window of SIEVE_WINDOW flags, one per odd n,
-besides the primes it returns; the omega sieve over [0, x) keeps its int8
-counts, one byte per n, and no cofactor array, counting the one prime above
-sqrt(x) by its cofactor in chunks of half a window.
+The prime sieve yields its primes window by window (``prime_windows``) and
+holds one window of SIEVE_WINDOW flags, one per odd n, and the primes up to
+sqrt(x); ``sieve_primes`` gathers the windows into one int64 array, and
+``dirichlet.PrimeSieve`` into one int32 array below 2^31.  The omega sieve over
+[0, x) keeps its int8 counts, one byte per n, and no list of the primes: it
+counts the one prime above sqrt(x) by its cofactor, window by window, in
+chunks of at most half a window.
 The engines import them from here.  The independent oracles that test them
 (``dirichlet.segmented_primes``, ``quadratic.reduced_forms``, ...) stay with
 their engines on purpose.
@@ -33,37 +36,29 @@ def physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def sieve_primes(limit: int) -> np.ndarray:
-    """All primes below ``limit``, ascending, by a segmented sieve of Eratosthenes on odd n.
+def prime_windows(limit: int):
+    """The primes below ``limit``, ascending, one int64 array per window of SIEVE_WINDOW odd n.
 
-    Flag i stands for 2i + 1.  The flags are sieved SIEVE_WINDOW at a time (Bays
-    and Hudson, 1977): first by the odd primes that earlier windows found, each
-    from its first odd multiple in the window, then by the primes of the window
-    whose squares fall in it, from p * p (only the first window has any).  Each
-    window's primes go straight into one int64 array, allocated once at the
-    Rosser-Schoenfeld bound of their count, whose pages stay untouched until
-    written, and cut to the count in place at the end: the sieve holds one
-    window of flags besides its output.  Flag 0, for n = 1, is left set and
-    becomes the prime 2.  An output bound beyond physical memory raises
-    CapExceeded before any array exists.
+    A segmented sieve of Eratosthenes on odd n (Bays and Hudson, 1977): flag i
+    stands for 2i + 1.  Each window is sieved first by the base primes, the odd
+    primes up to isqrt(limit - 1) that earlier windows found, each from its first
+    odd multiple in the window, then by the primes of the window whose squares fall
+    in it, from p * p (only the first window has any).  Flag 0, for n = 1, is left
+    set and becomes the prime 2.  Besides the window it yields, the generator holds
+    one window of flags and the base primes, a list of about 2 sqrt(limit) / log limit
+    ints.
     """
     if limit <= 2:
-        return np.zeros(0, dtype=np.int64)
-    # pi(x) < 1.25506 x / log x for x > 1 (Rosser and Schoenfeld, 1962); + 1 for the rounding
-    bound = int(1.25506 * limit / math.log(limit)) + 1
-    have = physical_memory()
-    if 8 * bound > have:
-        raise CapExceeded(f"the primes below {limit} need up to {8 * bound / 2 ** 30:.1f} GiB, "
-                          f"more than the {have / 2 ** 30:.1f} GiB of physical memory")
-    primes = np.empty(bound, dtype=np.int64)
-    count = 0
+        return
+    root = math.isqrt(limit - 1)
+    base = []  # the primes <= root found so far, ascending
     for lo in range(0, limit // 2, SIEVE_WINDOW):
         hi = min(lo + SIEVE_WINDOW, limit // 2)
         flags = np.ones(hi - lo, dtype=bool)
-        # the odd primes found so far whose squares fall below the window's last n, 2 hi - 1;
-        # p's odd multiples are the flags p // 2 + j p, and p lies in an earlier window, so
+        # the base primes whose squares fall below the window's last n, 2 hi - 1; p's
+        # odd multiples are the flags p // 2 + j p, and p lies in an earlier window, so
         # every one from the window's start on is composite
-        for p in primes[1:bisect.bisect_right(primes, math.isqrt(2 * hi - 1), 1, count)].tolist():
+        for p in base[1:bisect.bisect_right(base, math.isqrt(2 * hi - 1))]:
             flags[(p // 2 - lo) % p::p] = False
         for i in range(max(lo, 1), hi):
             p = 2 * i + 1
@@ -71,12 +66,47 @@ def sieve_primes(limit: int) -> np.ndarray:
                 break
             if flags[i - lo]:
                 flags[p * p // 2 - lo::p] = False
-        found = np.flatnonzero(flags)
-        primes[count:count + len(found)] = 2 * (found + lo) + 1
-        count += len(found)
-    primes[0] = 2
+        primes = np.flatnonzero(flags)
+        primes += lo
+        primes *= 2
+        primes += 1
+        if lo == 0:
+            primes[0] = 2
+        base += primes[:bisect.bisect_right(primes, root)].tolist()
+        yield primes
+
+
+def _gather_primes(limit: int, dtype) -> np.ndarray:
+    """prime_windows(limit) written into one array of ``dtype``, allocated once.
+
+    The array is sized by the Rosser-Schoenfeld bound of the prime count, its
+    pages stay untouched until written, and it is cut to the count in place at
+    the end.  A bound whose bytes at dtype's size exceed physical memory raises
+    CapExceeded before any array exists.
+    """
+    if limit <= 2:
+        return np.zeros(0, dtype=dtype)
+    # pi(x) < 1.25506 x / log x for x > 1 (Rosser and Schoenfeld, 1962); + 1 for the rounding
+    bound = int(1.25506 * limit / math.log(limit)) + 1
+    need, have = np.dtype(dtype).itemsize * bound, physical_memory()
+    if need > have:
+        raise CapExceeded(f"the primes below {limit} need up to {need / 2 ** 30:.1f} GiB, "
+                          f"more than the {have / 2 ** 30:.1f} GiB of physical memory")
+    primes = np.empty(bound, dtype=dtype)
+    count = 0
+    for window in prime_windows(limit):
+        primes[count:count + len(window)] = window
+        count += len(window)
     primes.resize(count, refcheck=False)
     return primes
+
+
+def sieve_primes(limit: int) -> np.ndarray:
+    """All primes below ``limit``, ascending, as int64: prime_windows gathered in one array.
+
+    The sieve holds one window of flags and the base primes besides its output.
+    """
+    return _gather_primes(limit, np.int64)
 
 
 def floor_values(n: int) -> np.ndarray:
@@ -202,23 +232,26 @@ def omega_sieve(limit: int) -> np.ndarray:
 
     Primes p up to isqrt(limit - 1) are counted as progressions p, 2p, ....
     Any other prime q dividing n < limit has q * q >= limit, so it is the only
-    one, and n = q * m with m < q: for each cofactor m, one vectorised step per
-    half window of such q counts every q with q * m < limit.  No cofactor array
-    is kept and the products go to one buffer of half a window of int64, so the
-    sieve holds one byte per n besides the primes.  omega(0) reads 0.
+    one, and n = q * m with m < q.  Those q come window by window from
+    prime_windows; for each cofactor m, one vectorised step per half window of
+    them counts every q with q * m < limit.  No list of the primes and no
+    cofactor array is kept, and the products go to one buffer of at most half a
+    window of int64, so the sieve holds one byte per n besides one window.
+    omega(0) reads 0.
     """
-    primes = sieve_primes(limit)
-    split = int(np.searchsorted(primes, math.isqrt(max(limit - 1, 0)), side="right"))
-    omega = progression_counts(0, limit, [(p, p) for p in primes[:split].tolist()])
-    large, chunk = primes[split:], SIEVE_WINDOW // 2
-    multiples = np.empty(min(len(large), chunk), dtype=np.int64)  # reused by every step
-    m = 1
-    while len(large) and m * int(large[0]) < limit:
-        k = int(np.searchsorted(large, (limit - 1) // m, side="right"))
-        for lo in range(0, k, chunk):
-            part = large[lo:min(lo + chunk, k)]
-            omega[np.multiply(part, m, out=multiples[:len(part)])] += 1
-        m += 1
+    root = math.isqrt(max(limit - 1, 0))
+    omega = progression_counts(0, limit, [(p, p) for p in sieve_primes(root + 1).tolist()])
+    chunk = SIEVE_WINDOW // 2
+    for primes in prime_windows(limit):
+        large = primes[bisect.bisect_right(primes, root):]
+        multiples = np.empty(min(len(large), chunk), dtype=np.int64)  # reused by every step
+        m = 1
+        while len(large) and m * int(large[0]) < limit:
+            k = int(np.searchsorted(large, (limit - 1) // m, side="right"))
+            for lo in range(0, k, chunk):
+                part = large[lo:min(lo + chunk, k)]
+                omega[np.multiply(part, m, out=multiples[:len(part)])] += 1
+            m += 1
     return omega
 
 

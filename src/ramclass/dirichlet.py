@@ -23,6 +23,7 @@ import numpy as np
 
 from .arith import (
     SIEVE_WINDOW,
+    _gather_primes,
     euler_phi,
     omega_sieve,
     prime_counts_mod,
@@ -43,19 +44,27 @@ SUMMATORY_WINDOW = 2 ** 20  # the 2^omega oracle's window in n, sized by measure
 
 
 class PrimeSieve:
-    """All primes below ``limit``, from ``arith.sieve_primes``."""
+    """All primes below ``limit``, from ``arith.prime_windows``, in 4 bytes each below 2^31.
+
+    ``primes`` is int32 for a limit below 2^31 and int64 from there on, written
+    window by window into one array, so no int64 copy of the primes exists; the
+    memory guard weighs the bound at that size.  Products of two primes, p * p
+    among them, overflow int32 past 46 340: cast before multiplying.  Every
+    ``searchsorted`` on ``primes`` takes a key of the array's own dtype, since a
+    Python int key makes NumPy search an int64 copy of the array.
+    """
 
     def __init__(self, limit: int):
         if limit < 2:
             raise ValueError("limit must be at least 2")
         self.limit = limit
-        self.primes = sieve_primes(limit)
+        self.primes = _gather_primes(limit, np.int32 if limit < 2 ** 31 else np.int64)
 
     def count_below(self, x: int) -> int:
         """pi(x - 1); x beyond the limit, where the sieve would undercount, raises CapExceeded."""
         if x > self.limit:
             raise CapExceeded(f"x = {x} beyond sieve limit {self.limit}")
-        return int(np.searchsorted(self.primes, x, side="left"))
+        return int(np.searchsorted(self.primes, self.primes.dtype.type(max(x, 0)), side="left"))
 
 
 def segmented_primes(lo: int, hi: int) -> list[int]:
@@ -92,9 +101,11 @@ def _class_chunks(primes: np.ndarray, ap: APClass):
     longer than that, whatever the length of ``primes``.
     """
     chunk = SIEVE_WINDOW // 2
+    # every prime lies below the dtype's top, so p % m is p for a modulus past it, as for the top
+    m = min(ap.m, int(np.iinfo(primes.dtype).max))
     for lo in range(0, len(primes), chunk):
         part = primes[lo:lo + chunk]
-        yield part[part % ap.m == ap.n % ap.m]
+        yield part[part % m == ap.n % ap.m]
 
 
 def primes_in_ap(sieve: PrimeSieve, ap: APClass, x: int,
@@ -130,7 +141,7 @@ def mertens_ap(sieve: PrimeSieve, ap: APClass, checkpoints):
         np.cumsum(run, out=run)
         # the checkpoints x <= the chunk's last prime: every class prime below x is summed
         for x in checkpoints[len(sums):bisect.bisect_right(checkpoints, int(part[-1]))]:
-            j = int(np.searchsorted(part, x, side="left"))
+            j = int(np.searchsorted(part, part.dtype.type(x), side="left"))
             sums.append(float(run[j - 1]) if j else total)
         total = float(run[-1])
     sums += [total] * (len(checkpoints) - len(sums))

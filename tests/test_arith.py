@@ -18,6 +18,7 @@ from ramclass.arith import (
     omega_sieve,
     prime_counts_mod,
     prime_factors,
+    prime_windows,
     progression_counts,
     segmented_squarefree,
     primitive_root,
@@ -151,6 +152,31 @@ def test_sieve_primes_in_small_windows(monkeypatch):
         assert sieve_primes(limit).tolist() == want[:bisect.bisect_left(want, limit)], limit
 
 
+def _joined_windows(limit):
+    """prime_windows(limit) end to end, after checking that window j holds n in [2jW, 2(j+1)W)."""
+    windows, width = list(prime_windows(limit)), 2 * arith.SIEVE_WINDOW
+    for j, window in enumerate(windows):
+        assert window.dtype == np.int64
+        assert np.all((j * width <= window) & (window < (j + 1) * width)), (limit, j)
+    return np.concatenate(windows).tolist() if windows else []
+
+
+def test_prime_windows_join_across_seams():
+    # the windows, end to end, at every limit within 2 of the ends of the first three windows
+    seams = [2 * k * arith.SIEVE_WINDOW + d for k in (1, 2, 3) for d in range(-2, 3)]
+    want = segmented_primes(0, seams[-1])
+    for limit in seams:
+        assert _joined_windows(limit) == want[:bisect.bisect_left(want, limit)], limit
+
+
+def test_prime_windows_in_small_windows(monkeypatch):
+    # 64 flags a window: the base primes up to 70 come from two windows
+    monkeypatch.setattr(arith, "SIEVE_WINDOW", 64)
+    want = segmented_primes(0, 5001)
+    for limit in range(5001):
+        assert _joined_windows(limit) == want[:bisect.bisect_left(want, limit)], limit
+
+
 def test_omega_sieve_in_small_chunks(monkeypatch):
     # half a 64-flag window: 32 large primes a cofactor step
     monkeypatch.setattr(arith, "SIEVE_WINDOW", 64)
@@ -167,6 +193,11 @@ def test_sieve_primes_memory(traced_peak):
 def test_omega_sieve_memory(traced_peak):
     # one int8 per n and the primes, and no int64 product per prime above sqrt(limit)
     assert traced_peak(omega_sieve, 10 ** 7) <= 16 * 2 ** 20
+
+
+def test_omega_sieve_memory_from_windows(traced_peak):
+    # one int8 per n, 9.5 MiB at 1e7, and one window: no list of the primes below the limit
+    assert traced_peak(omega_sieve, 10 ** 7) <= 11 * 2 ** 20
 
 
 def test_sieve_primes_guards_physical_memory(monkeypatch, traced_peak):

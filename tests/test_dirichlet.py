@@ -1,11 +1,19 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from ramclass import dirichlet
-from ramclass.arith import euler_phi, is_squarefree, omega, omega_sieve, segmented_squarefree
+from ramclass import arith, dirichlet
+from ramclass.arith import (
+    euler_phi,
+    is_squarefree,
+    omega,
+    omega_sieve,
+    segmented_squarefree,
+    sieve_primes,
+)
 from ramclass.dirichlet import (
     SINGULARITY_IDENTITY,
     SUMMATORY_CAP,
@@ -108,6 +116,42 @@ def test_count_below_refuses_past_the_limit():
         small.count_below(1000)
     with pytest.raises(CapExceeded, match="beyond sieve limit"):
         primes_in_ap(small, APClass(4, 1), 101)
+
+
+def test_prime_sieve_holds_int32_primes():
+    rng = random.Random(26)
+    for limit in [2, 3, 4, 2 ** 18 + 1] + [rng.randrange(5, 3 * 10 ** 6) for _ in range(12)]:
+        primes = PrimeSieve(limit).primes
+        assert primes.dtype == np.int32
+        assert np.array_equal(primes, sieve_primes(limit)), limit
+
+
+def test_prime_sieve_memory(traced_peak):
+    # the bound, 778 680 int32 primes in 3.0 MiB, and one window; int64 primes trace 6.6 MiB
+    assert traced_peak(PrimeSieve, 10 ** 7) <= 4 * 2 ** 20
+
+
+@pytest.mark.parametrize("limit, size", [(2 ** 31 - 1, 4), (2 ** 31, 8)])
+def test_prime_sieve_guards_physical_memory(monkeypatch, traced_peak, limit, size):
+    # the bound, 1.25506 x / log x primes, at 4 bytes below 2^31 and 8 from there on; memory
+    # just short of 4 bytes a prime refuses both, and the message tells the size apart
+    bound = int(1.25506 * limit / math.log(limit)) + 1
+    need = size * bound
+    monkeypatch.setattr(arith, "physical_memory", lambda: 4 * bound - 1)
+
+    def refused():
+        with pytest.raises(CapExceeded, match=f"need up to {need / 2 ** 30:.1f} GiB"):
+            PrimeSieve(limit)
+
+    assert traced_peak(refused) < 2 ** 14
+    assert len(PrimeSieve(10 ** 4).primes) == 1229
+
+
+def test_modulus_past_the_int32_range():
+    # every prime below the limit is its own residue mod 2^40
+    small = PrimeSieve(100)
+    assert primes_in_ap(small, APClass(2 ** 40, 5), 100, want_list=True) == (1, [5])
+    assert mertens_ap(small, APClass(2 ** 40, 7), [7, 8])[1][1] == 1 / 7
 
 
 def _mertens_reference(sieve, ap, checkpoints):
