@@ -4,21 +4,18 @@ Class numbers come from exhaustive reduced-form enumeration and 2-ranks from
 counting ambiguous reduced forms of discriminant -n in two disjoint families,
 (a, 0, c) with n = 4ac and the factorisations n = uv with u < v and
 u + v = 0 mod 4, so the genus inequality omega - 1 <= rk2 <= omega is tested
-against two independent computations.  One array function lists the
-fundamental discriminants of a |D| range with their radicals from one table
-of residue classes: D < 0 has |D| = 3 mod 4, 4 mod 16 or 8 mod 16, so each
-class n = r mod m is sieved alone over the index i = (n - r) / m, and
-enumeration, radical counts and scans read that table.  Scans over the family
-ordered by product of ramified primes (or by |D|) stop each class where its
-key reaches x, and walk it in windows of SEGMENT indices.  A window holds a
-flag byte and an int16 ambiguous count per index (about 5 bytes per index at
-its peak) and no per-field array: the key grows with the index, so each
-checkpoint is an index bound, and the run between two bounds is tallied by
-rk2.  So their memory is bounded by the window size, not by x (36 MB peak RSS
-at x = 1e8); their time is not, so they stop at SCAN_CAP.  Each window gives
-one cumulative count grid over (checkpoint, rk2);
---jobs only spreads the windows over worker processes, and the grids are
-exact integer sums, so the output is the same for every --jobs.
+against two independent computations.  Fundamental D lie in a few residue
+classes (|D| = 3 mod 4, 4 or 8 mod 16 for D < 0), each sieved alone over the
+index i of n = |D| = r + m * i.  The key of n, its radical n / d or n itself,
+grows with i, so _class_windows turns a key range into windows of at most
+SEGMENT indices; the enumeration, the radical counts, genus_sweep and the
+scans all walk them, and each class stops where its key reaches x.  A scan
+window holds a flag byte and an int16 ambiguous count per index and no
+per-field array: each checkpoint is an index bound, and the run between two
+bounds is tallied by rk2.  So a scan's memory is bounded by the window size,
+not by x (44 MB peak RSS at x = 1e9); its time is not, so scans stop at
+SCAN_CAP.  --jobs only spreads the windows over worker processes, and the
+grids are exact integer sums, so the output is the same for every --jobs.
 """
 
 from __future__ import annotations
@@ -141,15 +138,19 @@ def _index_bound(x, cls, order: str = "absdisc"):
     return -((r - (d if order == "radical" else 1) * x) // m)
 
 
-def _class_fields(lo: int, hi: int, cls) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The i in [lo, hi) whose n = r + m * i no odd prime square divides, n and n / d."""
-    r, m, d = cls
-    i = lo + np.flatnonzero(odd_squarefree(lo, hi, r, m))
-    return i, r + m * i, r // d + m // d * i
+def _class_windows(lo: int, hi: int, cls, order: str = "absdisc") -> list[tuple[int, int]]:
+    """Index windows [a, b), at most SEGMENT long, of the class's n with key in [lo, hi).
+
+    Keys grow with the index; an empty key range gives one empty window, not none.
+    """
+    start = max(_index_bound(lo, cls, order), 0)
+    stop = max(_index_bound(hi, cls, order), start)
+    return [(a, min(a + SEGMENT, stop)) for a in range(start, max(stop, start + 1), SEGMENT)]
 
 
-def _fundamentals(lo: int, hi: int, signs: str) -> tuple[np.ndarray, np.ndarray]:
-    """Fundamental D with |D| in [lo, hi) and their radicals, as int64 arrays, by class.
+def _fundamentals(lo: int, hi: int, signs: str,
+                  order: str = "absdisc") -> tuple[np.ndarray, np.ndarray]:
+    """Fundamental D with key (|D|, or the radical) in [lo, hi) and their radicals, by class.
 
     A class in both tables (8 mod 16) is sieved once and gives both signs.
     """
@@ -158,9 +159,11 @@ def _fundamentals(lo: int, hi: int, signs: str) -> tuple[np.ndarray, np.ndarray]
     for sign, classes in tables:
         for cls in classes:
             signs_of.setdefault(cls, []).append(sign)
-    parts = [(sign * n[n > 1], P[n > 1]) for cls, class_signs in signs_of.items()
-             for _, n, P in [_class_fields(_index_bound(lo, cls), _index_bound(hi, cls), cls)]
-             for sign in class_signs]
+    parts = []
+    for (r, m, d), class_signs in signs_of.items():
+        for a, b in _class_windows(max(lo, 2), hi, (r, m, d), order):  # key 1 is n = 1, no field
+            n = r + m * (a + np.flatnonzero(odd_squarefree(a, b, r, m)))
+            parts += [(sign * n, n // d) for sign in class_signs]
     return np.concatenate([D for D, _ in parts]), np.concatenate([P for _, P in parts])
 
 
@@ -176,10 +179,8 @@ def enumerate_with_radicals(bound_kind: str, x: int,
         raise ValueError(f"unknown signs {signs!r}")
     if x > ENUMERATION_CAP:
         raise CapExceeded(f"x = {x} exceeds enumeration cap {ENUMERATION_CAP}")
-    D, P = _fundamentals(0, max(4 * x if bound_kind == "radical" else x, 0), signs)
-    key = P if bound_kind == "radical" else np.abs(D)
-    D, P, key = D[key < x], P[key < x], key[key < x]
-    order = np.lexsort((D > 0, np.abs(D), key))
+    D, P = _fundamentals(0, x, signs, "radical" if bound_kind == "radical" else "absdisc")
+    order = np.lexsort((D > 0, np.abs(D), P if bound_kind == "radical" else np.abs(D)))
     return list(zip(D[order].tolist(), P[order].tolist()))
 
 
@@ -190,18 +191,18 @@ def enumerate_discriminants(bound_kind: str, x: int, signs: str = "imaginary") -
 
 def radical_counts_both_signs(x: int) -> np.ndarray:
     """counts[n] = number of fundamental discriminants (both signs) of radical n < x."""
-    _, P = _fundamentals(0, 4 * x, "both")
-    return np.bincount(P[P < x], minlength=x)
+    _, P = _fundamentals(0, x, "both", "radical")
+    return np.bincount(P, minlength=max(x, 0))
 
 
 # -- segmented batch machinery ---------------------------------------------------
 
-# indices i per window of a class |D| = r + m * i, at about 5 bytes each (a flag byte, an
-# int16 ambiguous count, a comparison mask): 2.5 MB, and 36 MB peak RSS for a scan to 1e8.
+# indices i per window of a class |D| = r + m * i, at about 5 bytes each in a scan (a flag
+# byte, an int16 ambiguous count, a comparison mask): 2.5 MB, and 35 MB peak RSS to 1e8.
 # Each window repeats the O(sqrt(|D|)) strides of segmented_ambiguous, so smaller is slower.
 SEGMENT = 1 << 19
 # the largest checkpoint a moment or probability scan takes: time grows a little
-# faster than x, about 3.2 s at 1e8 and 67 s at 1e9 on one core (34 s with --jobs 2)
+# faster than x, about 2.1 s at 1e8 and 34 s at 1e9 on one core (17 s with --jobs 2)
 SCAN_CAP = 10 ** 9
 
 
@@ -270,19 +271,17 @@ def _scan(checkpoints, order: str = "radical", jobs: int = 1):
     max_key = checkpoints[-1]
     if max_key > SCAN_CAP:
         raise CapExceeded(f"x = {max_key} exceeds the scan cap {SCAN_CAP}")
-    # each class stops at the first |D| whose key reaches max_key
-    tasks = [(lo, min(lo + SEGMENT, top), cls, order, checkpoints) for cls in IMAGINARY_CLASSES
-             for top in [_index_bound(max_key, cls, order)] for lo in range(0, top, SEGMENT)]
+    tasks = [(lo, hi, cls, order, checkpoints) for cls in IMAGINARY_CLASSES
+             for lo, hi in _class_windows(0, max_key, cls, order)]
     workers = min(int(jobs), len(tasks), os.cpu_count() or 1)
-    zero = np.zeros((len(checkpoints), 16), dtype=np.int64)  # a small x leaves no window
     if workers > 1:
         # imported here, not at the top: multiprocessing adds about 2 MB and 0.03 s to
         # the start-up of every command
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            grid = sum(pool.map(_tally_segment, tasks), zero)
+            grid = sum(pool.map(_tally_segment, tasks))
     else:
-        grid = sum(map(_tally_segment, tasks), zero)
+        grid = sum(map(_tally_segment, tasks))
     counts = grid.sum(axis=1)
     if counts.min() == 0:
         bad = checkpoints[int(np.argmin(counts))]
@@ -306,16 +305,17 @@ def rank_probability_scan(checkpoints, r: int, order: str = "radical", jobs: int
 def genus_sweep(max_abs_d: int) -> tuple[int, list[int]]:
     """Check the genus inequality on every imaginary fundamental |D| <= bound.
 
-    Returns (number checked, violating discriminants by increasing |D|); rk2
-    comes from the ambiguous-form sieve, omega from the omega sieve.  With the
-    ambiguous count 2^rk2, the inequality says it is 2^omega or 2^(omega - 1).
+    Returns (number checked, violating discriminants by increasing |D|).  Each class
+    window reads rk2 from the ambiguous-form sieve and omega as a slice of one omega sieve.
+    The ambiguous count is 2^rk2, so the inequality says it is 2^omega or 2^(omega - 1).
     """
     w = omega_sieve(max_abs_d + 1)
     checked, bad = 0, []
     for cls in IMAGINARY_CLASSES:
         r, m, _ = cls
-        fields, amb = _class_ambiguous(0, _index_bound(max_abs_d + 1, cls), cls)
-        checked += int(_rank2_histogram(amb, np.count_nonzero(fields)).sum())
-        power = 1 << w[r::m].astype(amb.dtype)
-        bad.append(r + m * np.flatnonzero(fields & (amb != power) & (amb != power >> 1)))
+        for lo, hi in _class_windows(0, max_abs_d + 1, cls):
+            fields, amb = _class_ambiguous(lo, hi, cls)
+            checked += int(_rank2_histogram(amb, np.count_nonzero(fields)).sum())
+            power = 1 << w[r + m * lo:r + m * hi:m].astype(amb.dtype)
+            bad.append(r + m * (lo + np.flatnonzero(fields & (amb != power) & (amb != power >> 1))))
     return checked, [-int(n) for n in np.sort(np.concatenate(bad))]

@@ -1,6 +1,8 @@
 import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -484,6 +486,47 @@ def test_rows_at_1e10(factors, q, r_max):
     got = count_stratified(group, group.omega_subset(q, math.inf), [10 ** 10], r_max,
                            cap=10 ** 10)
     assert [row[0] for row in got] == ROWS_AT_1E10[factors, q, r_max]
+
+
+def _moebius(n: int):
+    """mu(d) for d < n, by a numpy sieve of its own."""
+    prime = np.ones(n, dtype=bool)
+    prime[:2] = False
+    for p in range(2, math.isqrt(n - 1) + 1):
+        if prime[p]:
+            prime[p * p::p] = False
+    mu = np.ones(n, dtype=np.int64)
+    mu[0] = 0
+    for p in np.flatnonzero(prime).tolist():
+        mu[p::p] *= -1
+        mu[p * p::p * p] = 0
+    return mu
+
+
+def _odd_squarefree_up_to(y: int, mu) -> int:
+    """Q(y) = sum over odd d with d^2 <= y of mu(d) * ceil(floor(y / d^2) / 2)."""
+    d = np.arange(1, math.isqrt(max(y, 0)) + 1, 2)
+    return int((mu[d] * ((y // (d * d) + 1) // 2)).sum())
+
+
+def test_c2_total_equals_the_closed_form():
+    # each odd squarefree m gives one field of radical m (D = m or -m, the one that is 1 mod 4)
+    # and three of radical 2m (D = 4m or -4m, and 8m and -8m); m = 1 gives Q itself, so
+    # N(x) = Q(x - 1) + 3 Q((x - 1) // 2) - 1, with no prime table
+    mu = _moebius(10 ** 5 + 1)
+
+    def closed(x):
+        if x < 2:
+            return 0
+        return _odd_squarefree_up_to(x - 1, mu) + 3 * _odd_squarefree_up_to((x - 1) // 2, mu) - 1
+
+    small = list(range(1, 3001))
+    assert count_stratified(C2, frozenset(), small, 0)[0] == [closed(x) for x in small]
+    rng = random.Random(27)
+    xs = sorted(rng.randrange(1, 10 ** 9) for _ in range(20))
+    assert count_stratified(C2, frozenset(), xs, 0)[0] == [closed(x) for x in xs]
+    got = count_stratified(C2, frozenset(), [10 ** 10], 0, cap=10 ** 10)[0]
+    assert got == [closed(10 ** 10)] == [10_132_118_361]
 
 
 C2_6 = AbelianGroupSpec([2] * 6)

@@ -1,7 +1,9 @@
 """Invariants that tie two modules together."""
 
 import math
+from pathlib import Path
 
+import ramclass
 from ramclass.abelian_fields import AbelianGroupSpec, count_stratified, tame_local_budget
 from ramclass.bounds import RamificationProfile, RamifiedPrimeRecord, e_K, is_type
 from ramclass.dirichlet import fit_asymptotic, predicted_shape
@@ -85,3 +87,9 @@ def test_indicator_matches_abelian_r_semantics():
     # gen hits; half's subgroup misses the 4-cycles; the wild prime is skipped
     assert indicator_omega_r(profile, omega, 1)
     assert not indicator_omega_r(profile, omega, 2)
+
+
+def test_source_lines_at_most_100_characters():
+    long = [f"{path.name}:{k}" for path in sorted(Path(ramclass.__file__).parent.glob("*.py"))
+            for k, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 100]
+    assert long == []

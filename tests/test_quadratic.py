@@ -1,3 +1,4 @@
+import functools
 import itertools
 import os
 from unittest.mock import patch
@@ -115,6 +116,78 @@ def test_fundamentals_on_windows_off_the_16_grid(q, r, width):
     assert P.tolist() == [radical(d) for d in D.tolist()]
     imaginary, _ = quadratic._fundamentals(lo, hi, "imaginary")
     assert sorted(imaginary.tolist()) == [d for d in want if d < 0]
+
+
+# every fundamental D with radical below 5 000, so with |D| below 20 000, and its radical
+@functools.lru_cache(maxsize=1)
+def _fields_by_radical():
+    return [(d, radical(d)) for n in range(1, 20_000) for d in (-n, n)
+            if is_fundamental(d) and radical(d) < 5000]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(-20, 4500), st.integers(-5, 500))
+def test_fundamentals_in_radical_order_on_key_ranges(lo, width):
+    hi = lo + width
+    D, P = quadratic._fundamentals(lo, hi, "both", "radical")
+    want = sorted(d for d, p in _fields_by_radical() if lo <= p < hi)
+    assert sorted(D.tolist()) == want
+    assert P.tolist() == [radical(d) for d in D.tolist()]
+    imaginary, _ = quadratic._fundamentals(lo, hi, "imaginary", "radical")
+    assert sorted(imaginary.tolist()) == [d for d in want if d < 0]
+
+
+@pytest.mark.parametrize("segment", [1, 7, 97])
+def test_walks_equal_at_every_window_size(monkeypatch, segment):
+    def results():
+        return (genus_sweep(3 * 10 ** 4),
+                [enumerate_with_radicals(kind, 3000, signs)
+                 for kind in ("abs_disc", "radical") for signs in ("imaginary", "both")],
+                radical_counts_both_signs(3000).tolist())
+
+    want = results()
+    monkeypatch.setattr(quadratic, "SEGMENT", segment)
+    assert results() == want
+
+
+def test_every_walk_takes_the_class_windows(monkeypatch):
+    real, calls = quadratic._class_windows, []
+
+    def recorded(lo, hi, cls, order="absdisc"):
+        calls.append((cls, order))
+        return real(lo, hi, cls, order)
+
+    monkeypatch.setattr(quadratic, "_class_windows", recorded)
+
+    def each_class(order, signs="imaginary"):
+        tables = quadratic.IMAGINARY_CLASSES + quadratic.REAL_CLASSES * (signs == "both")
+        return sorted((cls, order) for cls in set(tables))  # 8 mod 16 is walked once
+
+    walks = [(lambda: moment_scan([1000], "absdisc"), each_class("absdisc")),
+             (lambda: rank_probability_scan([1000], 1), each_class("radical")),
+             (lambda: genus_sweep(1000), each_class("absdisc")),
+             (lambda: enumerate_with_radicals("radical", 1000, "both"),
+              each_class("radical", "both")),
+             (lambda: enumerate_discriminants("abs_disc", 1000), each_class("absdisc")),
+             (lambda: radical_counts_both_signs(1000), each_class("radical", "both"))]
+    for walk, want in walks:
+        calls.clear()
+        walk()
+        assert sorted(calls) == want
+
+
+@pytest.mark.parametrize("cls", quadratic.IMAGINARY_CLASSES + quadratic.REAL_CLASSES)
+@pytest.mark.parametrize("order", SCAN_ORDERS)
+def test_class_windows_tile_the_key_range(monkeypatch, cls, order):
+    monkeypatch.setattr(quadratic, "SEGMENT", 5)
+    r, m, d = cls
+    key = (lambda i: (r + m * i) // d) if order == "radical" else (lambda i: r + m * i)
+    for lo, hi in [(-7, -1), (0, 0), (5, 5), (9, 3), (0, 1), (0, 40), (17, 200), (-3, 61)]:
+        windows = quadratic._class_windows(lo, hi, cls, order)
+        assert windows and all(0 <= b - a <= 5 for a, b in windows)
+        assert all(b == c for (_, b), (c, _) in zip(windows, windows[1:]))
+        indices = [i for a, b in windows for i in range(a, b)]
+        assert indices == [i for i in range(4 * max(hi, 0) + 1) if lo <= key(i) < hi]
 
 
 def test_ambiguous_count_matches_form_enumeration():
@@ -386,3 +459,19 @@ def test_radical_counts_profile():
     assert counts[2] == 3 and counts[3] == 1 and counts[5] == 1
     assert counts[6] == 3 and counts[10] == 3 and counts[15] == 1
     assert counts[4] == 0 and counts[9] == 0 and counts[12] == 0
+
+
+def test_radical_counts_below_one_are_empty():
+    for x in (-5, -1, 0):
+        assert radical_counts_both_signs(x).tolist() == []
+    assert radical_counts_both_signs(1).tolist() == [0]
+
+
+def test_radical_counts_memory(traced_peak):
+    # each class sieved only up to radical 1e6, in windows; no |D| up to 4e6 and no filter
+    assert traced_peak(radical_counts_both_signs, 10 ** 6) <= 40 * 2 ** 20
+
+
+def test_genus_sweep_memory(traced_peak):
+    # one int8 omega per |D| (9.5 MiB at 1e7) and one class window, not a whole class
+    assert traced_peak(genus_sweep, 10 ** 7) <= 18 * 2 ** 20
