@@ -6,10 +6,10 @@ summatory main term attached to a Dirichlet-series singularity
 shapes by least squares in (log log x, log log log x) coordinates.
 
 The summatory oracles are the exact counts those main terms are checked
-against.  The 2^omega oracle holds no array of length x: it sieves [0, x) in
-windows of SUMMATORY_WINDOW by the primes up to sqrt(x) and counts the one
-larger prime of each squarefree n from the prime counts at the floor values of
-x - 1 (``arith.prime_counts_mod``), in O(sqrt(x) + window) memory.
+against.  The 2^omega oracle holds no array of length x and reads no
+prime-count table: it convolves the divisor function with the coefficients of
+zeta(s)^-2 prod_p (1 + 2 p^-s), which live on m = a^2 b^3, from omega and the
+squarefree flags up to sqrt(x), in O(sqrt(x) log x) time and memory.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from .arith import (
     _gather_primes,
     euler_phi,
     omega_sieve,
-    prime_counts_mod,
-    progression_counts,
     segmented_squarefree,
     sieve_primes,
 )
@@ -40,7 +38,6 @@ from .errors import (
 )
 
 SUMMATORY_CAP = 10 ** 7
-SUMMATORY_WINDOW = 2 ** 20  # the 2^omega oracle's window in n, sized by measurement
 
 
 class PrimeSieve:
@@ -295,12 +292,11 @@ def summatory_oracle(kind: str, x: int, **params) -> float:
     with per-residue prime weights mod m, optionally fixed omega(n) = r);
     ``custom`` (per-prime weight function, the shifted-Euler-factor surrogate).
 
-    ``squarefree_2_omega`` splits at R = isqrt(x - 1).  A squarefree n < x has
-    at most one prime q > R, and then n = q * c with c <= R squarefree, so the
-    sum is that of 2^omega_R(n) (omega_R counting the primes <= R), taken over
-    windows of SUMMATORY_WINDOW n, plus 2^omega(c) (pi((x - 1) // c) - pi(R))
-    over squarefree c <= R.  Memory is O(sqrt(x) + SUMMATORY_WINDOW); the sum
-    is a Python int, made a float once.
+    ``squarefree_2_omega``: prod_p (1 + 2 p^-s) = zeta(s)^2 prod_p (1 - 3 p^-2s + 2 p^-3s),
+    so the sum over n <= N = x - 1 is that of g(m) D(N // m), D(y) the sum of the
+    divisor function up to y and g(m) = (-3)^omega(a) 2^omega(b) on m = a^2 b^3 (a and
+    b squarefree and coprime), 0 elsewhere.  O(sqrt(x) log x) time and memory, one
+    int64 per quotient y // i of the D(y); the sum is exact in int64, made a float once.
     """
     if x > SUMMATORY_CAP:
         raise CapExceeded(f"x = {x} exceeds {SUMMATORY_CAP}")
@@ -311,24 +307,24 @@ def summatory_oracle(kind: str, x: int, **params) -> float:
     if kind == "squarefree_2_omega":
         n = x - 1
         root = math.isqrt(n)
-        small = sieve_primes(root + 1)
-        progressions = [(p, p) for p in small.tolist()]
-        total = 0
-        for lo in range(0, x, SUMMATORY_WINDOW):
-            hi = min(lo + SUMMATORY_WINDOW, x)
-            # omega_R(m) + 1 on squarefree m and 0 elsewhere, built in place and tallied
-            # per value: a masked copy, or bincount's cast to int64, costs 8 bytes per m
-            shifted = progression_counts(lo, hi, progressions)
-            shifted += 1
-            shifted *= segmented_squarefree(lo, hi)
-            total += sum(np.count_nonzero(shifted == w + 1) << w
-                         for w in range(int(shifted.max())))
-        # the one prime q > root of m = q * c, c <= root squarefree, doubles 2^omega(c):
-        # it is one of the pi(n // c) - pi(root) primes in (root, n // c]
-        weight = np.left_shift(1, omega_sieve(root + 1), dtype=np.int64)
-        weight *= segmented_squarefree(0, root + 1)
-        large = prime_counts_mod(n, 1)[0][:root] - len(small)
-        return float(total + int(weight[1:] @ large))
+        squarefree = np.flatnonzero(segmented_squarefree(0, root + 1))
+        omega = omega_sieve(root + 1).astype(np.int64)
+        # the support of g: m = a^2 b^3 <= n with a and b squarefree and coprime
+        quotients, g = [], []
+        for b in squarefree.tolist():
+            if b ** 3 > n:
+                break
+            a = squarefree[:np.searchsorted(squarefree, math.isqrt(n // b ** 3), side="right")]
+            a = a[np.gcd(a, b) == 1]
+            quotients.append(n // (a * a * b ** 3))
+            g.append(np.power(-3, omega[a]) * 2 ** int(omega[b]))
+        y = np.concatenate(quotients)
+        # D(y) = 2 sum_{i <= sqrt y} y // i - isqrt(y)^2, every y's run of i in one flat array
+        r = np.sqrt(y).astype(np.int64)  # isqrt(y): a rounded float sqrt floors right below 2^52
+        starts = np.cumsum(r) - r
+        i = np.arange(1, int(r.sum()) + 1) - np.repeat(starts, r)
+        divisor_sums = 2 * np.add.reduceat(np.repeat(y, r) // i, starts) - r * r
+        return float(int(np.concatenate(g) @ divisor_sums))
     if kind in ("squarefree_ap_product", "custom"):
         if kind == "squarefree_ap_product":
             m = params.get("m")

@@ -148,31 +148,32 @@ def _class_windows(lo: int, hi: int, cls, order: str = "absdisc") -> list[tuple[
     return [(a, min(a + SEGMENT, stop)) for a in range(start, max(stop, start + 1), SEGMENT)]
 
 
-def _fundamentals(lo: int, hi: int, signs: str,
-                  order: str = "absdisc") -> tuple[np.ndarray, np.ndarray]:
-    """Fundamental D with key (|D|, or the radical) in [lo, hi) and their radicals, by class.
+def _class_fields(lo: int, hi: int, signs: str, order: str = "absdisc"):
+    """Per class window: (the signs it gives, its fundamental n = |D| with key in [lo, hi), d).
 
-    A class in both tables (8 mod 16) is sieved once and gives both signs.
+    The radical of n is n // d.  A class in both tables (8 mod 16) is sieved once
+    and gives both signs.
     """
     tables = [(-1, IMAGINARY_CLASSES)] + [(1, REAL_CLASSES)] * (signs == "both")
     signs_of: dict[tuple[int, int, int], list[int]] = {}
     for sign, classes in tables:
         for cls in classes:
             signs_of.setdefault(cls, []).append(sign)
-    parts = []
     for (r, m, d), class_signs in signs_of.items():
         for a, b in _class_windows(max(lo, 2), hi, (r, m, d), order):  # key 1 is n = 1, no field
-            n = r + m * (a + np.flatnonzero(odd_squarefree(a, b, r, m)))
-            parts += [(sign * n, n // d) for sign in class_signs]
+            yield class_signs, r + m * (a + np.flatnonzero(odd_squarefree(a, b, r, m))), d
+
+
+def _fundamentals(lo: int, hi: int, signs: str,
+                  order: str = "absdisc") -> tuple[np.ndarray, np.ndarray]:
+    """Fundamental D with key (|D|, or the radical) in [lo, hi) and their radicals, by class."""
+    parts = [(sign * n, n // d) for class_signs, n, d in _class_fields(lo, hi, signs, order)
+             for sign in class_signs]
     return np.concatenate([D for D, _ in parts]), np.concatenate([P for _, P in parts])
 
 
-def enumerate_with_radicals(bound_kind: str, x: int,
-                            signs: str = "imaginary") -> list[tuple[int, int]]:
-    """(D, radical) pairs sorted by the chosen key, ties by |D|, imaginary first.
-
-    Raises CapExceeded above ENUMERATION_CAP.
-    """
+def _sorted_fundamentals(bound_kind: str, x: int, signs: str) -> tuple[np.ndarray, np.ndarray]:
+    """The arrays (D, radical) that enumerate_with_radicals lists, in its order."""
     if bound_kind not in ("abs_disc", "radical"):
         raise ValueError(f"unknown bound kind {bound_kind!r}")
     if signs not in ("imaginary", "both"):
@@ -181,18 +182,30 @@ def enumerate_with_radicals(bound_kind: str, x: int,
         raise CapExceeded(f"x = {x} exceeds enumeration cap {ENUMERATION_CAP}")
     D, P = _fundamentals(0, x, signs, "radical" if bound_kind == "radical" else "absdisc")
     order = np.lexsort((D > 0, np.abs(D), P if bound_kind == "radical" else np.abs(D)))
-    return list(zip(D[order].tolist(), P[order].tolist()))
+    return D[order], P[order]
+
+
+def enumerate_with_radicals(bound_kind: str, x: int,
+                            signs: str = "imaginary") -> list[tuple[int, int]]:
+    """(D, radical) pairs sorted by the chosen key, ties by |D|, imaginary first.
+
+    Raises CapExceeded above ENUMERATION_CAP.
+    """
+    D, P = _sorted_fundamentals(bound_kind, x, signs)
+    return list(zip(D.tolist(), P.tolist()))
 
 
 def enumerate_discriminants(bound_kind: str, x: int, signs: str = "imaginary") -> list[int]:
-    """Fundamental discriminants with |D| < x (abs_disc) or radical(|D|) < x."""
-    return [D for D, _ in enumerate_with_radicals(bound_kind, x, signs)]
+    """The D of enumerate_with_radicals, in its order: |D| < x (abs_disc) or radical(|D|) < x."""
+    return _sorted_fundamentals(bound_kind, x, signs)[0].tolist()
 
 
 def radical_counts_both_signs(x: int) -> np.ndarray:
     """counts[n] = number of fundamental discriminants (both signs) of radical n < x."""
-    _, P = _fundamentals(0, x, "both", "radical")
-    return np.bincount(P, minlength=max(x, 0))
+    counts = np.zeros(max(x, 0), dtype=np.int64)
+    for class_signs, n, d in _class_fields(0, x, "both", "radical"):
+        counts[n // d] += len(class_signs)  # one window's radicals are distinct
+    return counts
 
 
 # -- segmented batch machinery ---------------------------------------------------

@@ -354,22 +354,62 @@ def _two_omega_terms(top):
     return [1 << omega(n) if is_squarefree(n) else 0 for n in range(top)]
 
 
-def test_summatory_2_omega_across_window_seams(monkeypatch):
-    # 64-wide windows put a seam every 64 n below every x <= 2000
-    monkeypatch.setattr(dirichlet, "SUMMATORY_WINDOW", 64)
+def test_summatory_2_omega_across_window_seams():
+    # every x <= 2000, so every step of some quotient (x - 1) // m is crossed
     prefix = np.cumsum([0] + _two_omega_terms(2000))
     for x in range(2001):
         assert summatory_oracle("squarefree_2_omega", x) == prefix[x], x
 
 
-@pytest.mark.parametrize("window", [64, dirichlet.SUMMATORY_WINDOW], ids=["64", "default"])
-def test_summatory_2_omega_where_the_root_changes(monkeypatch, window):
+def test_summatory_2_omega_where_the_root_changes():
     # from x = p^2 + 1 on, isqrt(x - 1) is the prime p, and p * p must not count as p times c = p
-    monkeypatch.setattr(dirichlet, "SUMMATORY_WINDOW", window)
     primes = segmented_primes(0, 51)
     prefix = np.cumsum([0] + _two_omega_terms(max(primes) ** 2 + 1))
     for x in sorted({p * p + d for p in primes for d in (-1, 0, 1)}):
         assert summatory_oracle("squarefree_2_omega", x) == prefix[x], x
+
+
+def _two_omega_prefix(top):
+    """prefix[x] = the sum of 2^omega(n) over squarefree n < x, x <= top, by one numpy sieve."""
+    terms = np.left_shift(1, omega_sieve(top), dtype=np.int64) * segmented_squarefree(0, top)
+    return np.concatenate([[0], np.cumsum(terms)])
+
+
+def test_summatory_2_omega_matches_a_numpy_sieve():
+    prefix = _two_omega_prefix(2 * 10 ** 5)
+    rng = random.Random(28)
+    for x in [rng.randrange(2, 2 * 10 ** 5 + 1) for _ in range(200)]:
+        assert summatory_oracle("squarefree_2_omega", x) == prefix[x], x
+
+
+def test_summatory_2_omega_around_the_support_of_g():
+    # g of zeta(s)^-2 prod (1 + 2 p^-s) lives on m = a^2 b^3, a and b squarefree and coprime;
+    # the quotient (x - 1) // m of each such m steps between x = m and x = m + 1
+    top = 2 * 10 ** 5
+    prefix = _two_omega_prefix(top + 2)
+    support = {a * a * b ** 3 for a in range(1, math.isqrt(top) + 1)
+               for b in range(1, round(top ** (1 / 3)) + 2)
+               if a * a * b ** 3 < top and math.gcd(a, b) == 1
+               and is_squarefree(a) and is_squarefree(b)}
+    assert len(support) > 100
+    for x in sorted({m + d for m in support for d in (-1, 0, 1)}):
+        assert summatory_oracle("squarefree_2_omega", x) == prefix[x], x
+
+
+def test_summatory_2_omega_reads_no_prime_table(monkeypatch):
+    # the oracle checks the abelian counter, so it must not share that counter's prime tables
+    def refuse(*args):
+        raise AssertionError("the 2^omega oracle read a prime table")
+
+    for module in (arith, dirichlet):
+        monkeypatch.setattr(module, "prime_counts_mod", refuse, raising=False)
+    monkeypatch.setattr(dirichlet, "sieve_primes", refuse)
+    assert summatory_oracle("squarefree_2_omega", SUMMATORY_CAP) == 54_684_335
+
+
+def test_summatory_2_omega_memory_with_no_window(traced_peak):
+    # the terms of g and the runs of quotients of every D(y): about 0.9 MiB at the cap
+    assert traced_peak(summatory_oracle, "squarefree_2_omega", SUMMATORY_CAP) <= 2 * 2 ** 20
 
 
 def test_summatory_2_omega_memory_at_the_cap():

@@ -472,6 +472,16 @@ def test_radical_counts_memory(traced_peak):
     assert traced_peak(radical_counts_both_signs, 10 ** 6) <= 40 * 2 ** 20
 
 
+def test_radical_counts_hold_one_count_array(traced_peak):
+    # the int64 counts (7.6 MiB at 1e6) and one class window: no D array, no concatenation
+    assert traced_peak(radical_counts_both_signs, 10 ** 6) <= 16 * 2 ** 20
+
+
+def test_enumerate_discriminants_builds_no_pairs(traced_peak):
+    # the sorted arrays and one list of ints: no (D, radical) tuples (162.6 MiB at 1e6)
+    assert traced_peak(enumerate_discriminants, "radical", 10 ** 6, "both") <= 64 * 2 ** 20
+
+
 def test_genus_sweep_memory(traced_peak):
     # one int8 omega per |D| (9.5 MiB at 1e7) and one class window, not a whole class
     assert traced_peak(genus_sweep, 10 ** 7) <= 18 * 2 ** 20
