@@ -361,11 +361,13 @@ def test_summatory_2_omega_across_window_seams():
         assert summatory_oracle("squarefree_2_omega", x) == prefix[x], x
 
 
-def test_summatory_2_omega_where_the_root_changes():
-    # from x = p^2 + 1 on, isqrt(x - 1) is the prime p, and p * p must not count as p times c = p
-    primes = segmented_primes(0, 51)
-    prefix = np.cumsum([0] + _two_omega_terms(max(primes) ** 2 + 1))
-    for x in sorted({p * p + d for p in primes for d in (-1, 0, 1)}):
+@pytest.mark.parametrize("roots", [list(range(2, 64)), segmented_primes(0, 51)],
+                         ids=["64", "default"])
+def test_summatory_2_omega_where_the_root_changes(roots):
+    # isqrt(x - 1), isqrt(y) of every quotient y and isqrt(n // b^3) step at x = k^2 + 1: every
+    # k < 64, and the primes p < 51, where p * p must not count as p times c = p
+    prefix = np.cumsum([0] + _two_omega_terms(max(roots) ** 2 + 1))
+    for x in sorted({k * k + d for k in roots for d in (-1, 0, 1)}):
         assert summatory_oracle("squarefree_2_omega", x) == prefix[x], x
 
 
