@@ -12,8 +12,11 @@ v of x - 1, the second phase of the Min_25 sieve: it starts from the tables
 of pi(v; e, c) (arith.prime_counts_mod, Lucy's form of Legendre's sieve, as
 in Deleglise and Rivat, Math. Comp. 65, 1996) and adds the supports by
 their least prime, over the primes below sqrt(x), sieved once for all
-checkpoints; memory is O((phi(e) + r) sqrt(x)).  A wild prime p divides e,
-so it is the only prime of its class p mod e and enters as [v >= p].
+checkpoints; memory is O((phi(e) + r) sqrt(x)).  In both recursions the
+primes above the cube root of x - 1 read only entries none of them writes,
+so they go at once, in chunks from arith.bulk_pairs; the others one by one.
+A wild prime p divides e, so it is the only prime of its class p mod e and
+enters as [v >= p].
 enumerate_records and brute_force_total sieve every integer below x; they
 are the slow, independent checks of that recursion.  The lattice is listed
 by joining cyclic subgroups, its Moebius function comes from P. Hall's
@@ -30,14 +33,14 @@ from itertools import count as _icount, product as _iproduct
 
 import numpy as np
 
-from .arith import (SIEVE_WINDOW, euler_phi, floor_index, floor_values, invariant_factors,
-                    is_prime, prime_counts_mod, prime_factors, sieve_primes, valuation)
+from .arith import (BLOCK, SIEVE_WINDOW, bulk_pairs, cube_root, euler_phi, floor_index,
+                    floor_values, invariant_factors, is_prime, prime_counts_mod, prime_factors,
+                    sieve_primes, valuation)
 from .arith import physical_memory as _physical_memory  # a module name tests can replace
 from .errors import CapExceeded, EmptyRange, NotClosed, TamePrime, WildPrime
 
 DEFAULT_ORDER_CAP = 64
 RECORD_MODE_CAP = 10 ** 6
-BLOCK = 4096  # floor values per update step: its temporaries stay this small
 
 Element = tuple[int, ...]
 
@@ -245,10 +248,15 @@ def _checkpoint_counts(x, r_max, setups, exponent, primes, dtype):
     from the pi(v; e, c) table of n, a wild prime p counting [v >= p].  Then
     the primes p <= sqrt(n) add the supports whose least prime is p, from the
     largest p down: S(v) += f(p) (S(v // p) - S(p)) for v >= p * p, since
-    S(v // p) - S(p) then sums the supports above 1 of primes > p.  Blocks of
-    BLOCK floor values go from the largest v down, and each reads S at
-    v // p < v, where no block has written yet.  The counts, as Python ints,
-    are sum(mu S(n)); the empty support adds sum(mu) = 0, as G != 1.
+    S(v // p) - S(p) then sums the supports above 1 of primes > p.  A p with
+    p^3 > n reads S at v // p < n^(2/3) and at p, below the square of every
+    such prime, where S still holds the prime sums: so these primes go first,
+    at once, from bulk_pairs in chunks of BLOCK // rows pairs weighted by
+    b + a t of their class (a class with no data weighs 0 and is left out).
+    The primes up to the cube root follow, in blocks of BLOCK floor values
+    from the largest v down, and each reads S at v // p < v, where no block
+    has written yet.  The counts, as Python ints, are sum(mu S(n)); the empty
+    support adds sum(mu) = 0, as G != 1.
     """
     n, rows = x - 1, r_max + 2
     column = [0] * rows
@@ -257,13 +265,26 @@ def _checkpoint_counts(x, r_max, setups, exponent, primes, dtype):
     table = prime_counts_mod(n, exponent)
     values = floor_values(n)
     wild = {p % exponent: p for p in prime_factors(exponent)}
-    walk = primes[:np.searchsorted(primes, math.isqrt(n), side="right")].tolist()[::-1]
+    roots = primes[:np.searchsorted(primes, math.isqrt(n), side="right")]
+    walk = roots[:np.searchsorted(roots, cube_root(n), side="right")].tolist()[::-1]
     for mu, class_ab in setups:
         S = np.zeros((rows, len(values)), dtype=dtype)
+        a_of, b_of = np.zeros((2, exponent), dtype=np.int64)
         for c, (a, b) in class_ab.items():
             primes_to_v = (values >= wild[c] if c in wild else table[c]).astype(dtype, copy=False)
             S[0] += b * primes_to_v
             S[1] += a * primes_to_v
+            a_of[c], b_of[c] = a, b
+        # the primes above the cube root read only prime sums, so they go first, at once
+        for j, p, starts in bulk_pairs(n, roots[(a_of + b_of)[roots % exponent] > 0],
+                                       BLOCK // rows):
+            d = S[:, floor_index(n, n // ((j + 1) * p))]
+            d -= S[:, floor_index(n, p)]
+            at = j[starts]
+            S[:, at] += np.add.reduceat(d * b_of[p % exponent], starts, axis=1)
+            d = np.add.reduceat(d * a_of[p % exponent], starts, axis=1)
+            S[1:, at] += d[:-1]
+            S[-1, at] += d[-1]
         for p in walk:
             if (ab := class_ab.get(p % exponent)) is None:
                 continue
@@ -360,15 +381,22 @@ def _memory_needed(checkpoints, exponent, rows, cell) -> int:
     temporaries while it is built, the floor values and the prime sums that
     start S; S itself, rows by floor values of ``cell`` bytes (8 in int64,
     about 48 as a Python int); and per block, four S-sized rows by BLOCK and
-    six int64 index arrays.  Only what grows with x is counted; the subgroup
-    lattice stays a few MB below order 64.
+    six int64 index arrays; and one bulk chunk, four arrays of at most BLOCK
+    cells and ten int64 per pair, for at most BLOCK // min(rows, phi(e)) pairs
+    and below n / a^2 + n / 2a + 1, n = x - 1 and a = cube_root(n) + 1, the
+    sum of n // p^2 over the (odd, once n >= 8) primes p >= a.  Only what grows
+    with x is counted; the subgroup lattice stays a few MB below order 64.
     """
     s = math.isqrt(checkpoints[-1] - 1) + 1
     primes = int(1.26 * s / math.log(max(s, 3))) + 1
     size = 2 * math.isqrt(checkpoints[-1]) + 1
     block = min(size, BLOCK)
-    return (25 * min(s // 2, SIEVE_WINDOW) + 72 * primes + 8 * (3 * euler_phi(exponent) + 9) * size
-            + cell * rows * (size + 4 * block) + 48 * block)
+    phi, n = euler_phi(exponent), checkpoints[-1] - 1
+    a = cube_root(n) + 1
+    pairs = min(BLOCK // min(rows, phi), n // a ** 2 + n // (2 * a) + 1)
+    return (25 * min(s // 2, SIEVE_WINDOW) + 72 * primes + 8 * (3 * phi + 9) * size
+            + cell * rows * (size + 4 * block) + 48 * block
+            + 4 * cell * min(max(BLOCK, rows), max(rows, phi) * pairs) + 80 * pairs)
 
 
 def count_stratified(group: AbelianGroupSpec, omega, checkpoints, r_max: int,

@@ -12,6 +12,8 @@ sqrt(x); ``sieve_primes`` gathers the windows into one int64 array, and
 [0, x) keeps its int8 counts, one byte per n, and no list of the primes: it
 counts the one prime above sqrt(x) by its cofactor, window by window, in
 chunks of at most half a window.
+The prime counts per class take the primes above n^(1/3) in one vectorised
+pass over ``bulk_pairs``, which the abelian counter's second phase shares.
 The engines import them from here.  The independent oracles that test them
 (``dirichlet.segmented_primes``, ``quadratic.reduced_forms``, ...) stay with
 their engines on purpose.
@@ -29,6 +31,8 @@ import numpy as np
 from .errors import CapExceeded
 
 SIEVE_WINDOW = 2 ** 17  # flags, one per odd n, per window of sieve_primes: 128 KB
+BLOCK = 4096  # cells per step of the floor-value recursions, a block of floor values or
+# a bulk_pairs chunk of pairs times rows: their temporaries stay this small
 
 
 def physical_memory() -> int:
@@ -131,6 +135,33 @@ def floor_index(n: int, v):
     return np.where(v < n // root, root + n // root - 1 - v, n // v - 1)
 
 
+def cube_root(n: int) -> int:
+    """The largest k with k^3 <= n, for 0 <= n < 2^120: the rounded float root, corrected."""
+    k = round(n ** (1 / 3))
+    return k - (k ** 3 > n)
+
+
+def bulk_pairs(n: int, primes: np.ndarray, size: int):
+    """Chunks (j, p, starts) of at most max(size, 1) pairs (j, p): a floor index j of n and
+    a prime p > cube_root(n) of ``primes`` (ascending, int64, up to sqrt(n)), p * p <= v_j.
+
+    The v_j >= p * p are n // (j + 1), j < n^(1/3), and each j's primes are a prefix of
+    those above the cube root: the pairs come j-major, starts marks each j's first pair,
+    so np.add.reduceat(d, starts) sums a chunk per j, and j[starts] are its j.
+    """
+    bulk = primes[np.searchsorted(primes, cube_root(n), side="right"):]
+    if len(bulk) == 0:
+        return
+    counts = np.searchsorted(bulk * bulk, n // np.arange(1, n // bulk[0] ** 2 + 1), side="right")
+    ends = np.cumsum(counts)
+    total, size = int(ends[-1]), max(size, 1)
+    for lo in range(0, total, size):
+        pair = np.arange(lo, min(lo + size, total))
+        j = np.searchsorted(ends, pair, side="right")
+        p = bulk[pair - ends[j] + counts[j]]
+        yield j, p, np.flatnonzero(np.diff(j, prepend=-1))
+
+
 def prime_counts_mod(n: int, e: int) -> dict[int, np.ndarray]:
     """pi(v; e, c) at every floor value v of n, for each class c prime to e.
 
@@ -139,7 +170,10 @@ def prime_counts_mod(n: int, e: int) -> dict[int, np.ndarray]:
     and each prime p <= sqrt(n) not dividing e removes the multiples p * m
     with m free of primes below p, S(v, c) -= S(v // p, c / p) - S(p - 1, c / p)
     for v >= p * p, every class read before any is updated.  O(n^(3/4)) time
-    and O(phi(e) sqrt(n)) memory.
+    and O(phi(e) sqrt(n)) memory.  A prime with p^3 > n reads S at v // p < n^(2/3)
+    and p - 1, below the square of every such prime, which none of them writes: so
+    they go at once, from bulk_pairs in chunks of BLOCK // phi(e) pairs, after the
+    primes up to n^(1/3) (the split of Deleglise and Rivat, Math. Comp. 65, 1996).
     """
     if n >= 2 ** 63:
         raise CapExceeded(f"n = {n} is beyond the int64 prime-count tables")
@@ -149,14 +183,21 @@ def prime_counts_mod(n: int, e: int) -> dict[int, np.ndarray]:
     values = floor_values(n)
     # the integers in [1, v] that are c mod e, less 1 itself in its class
     table = np.array([(values - c) // e - (-c) // e - (c == 1 % e) for c in classes])
-    row = {c: j for j, c in enumerate(classes)}
-    for p in sieve_primes(math.isqrt(n) + 1).tolist():
-        if e % p == 0:
-            continue
+    src_of = np.zeros((len(classes), e), dtype=np.int64)  # column p mod e: the rows of c / p
+    for r in classes:
+        src_of[:, r] = [classes.index(c * pow(r, -1, e) % e) for c in classes]
+    primes = sieve_primes(math.isqrt(n) + 1)
+    primes = primes[e % primes != 0]
+    for p in primes[:np.searchsorted(primes, cube_root(n), side="right")].tolist():
         k = int(floor_index(n, p * p)) + 1  # the v >= p * p
         at = floor_index(n, values[:k] // p)
-        src = [row[c * pow(p, -1, e) % e] for c in classes]
+        src = src_of[:, p % e]
         table[:, :k] -= table[np.ix_(src, at)] - table[src, int(floor_index(n, p - 1))][:, None]
+    for j, p, starts in bulk_pairs(n, primes, BLOCK // len(classes)):
+        src = src_of[:, p % e]
+        d = table[src, floor_index(n, n // ((j + 1) * p))]
+        d -= table[src, floor_index(n, p - 1)]
+        table[:, j[starts]] -= np.add.reduceat(d, starts, axis=1)
     return dict(zip(classes, table))
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramclass import abelian_fields
+from ramclass import abelian_fields, arith
 from ramclass.abelian_fields import (
     AbelianGroupSpec,
     FieldCountRecord,
@@ -22,7 +22,7 @@ from ramclass.abelian_fields import (
     tame_local_budget,
     wild_local_budget,
 )
-from ramclass.arith import prime_factors, valuation
+from ramclass.arith import prime_counts_mod, prime_factors, valuation
 from ramclass.errors import CapExceeded, EmptyRange, NotClosed, TamePrime, WildPrime
 from ramclass.permgroup import omega_set, parse_group_spec
 
@@ -414,6 +414,59 @@ def test_wild_primes_at_and_above_root(factors, semantics):
             assert got == want, (q, x)
 
 
+# x - 1 = p^3 + {-1, 0, 1}: the prime p moves between the walk and the bulk pass
+SEAM_CHECKPOINTS = sorted({p ** 3 + d + 1 for p in (2, 3, 5, 7, 11, 13, 17) for d in (-1, 0, 1)})
+SEAM_CASES = [((3,), "subgroup_meets_omega"), ((4,), "subgroup_meets_omega"),
+              ((2, 2), "subgroup_meets_omega")] + WILD_CASES
+
+
+def _rows_from_records(recs, checkpoints, r_max):
+    return [[sum(rec.count for rec in recs if min(rec.r, r_max + 1) == r and rec.n < x)
+             for x in checkpoints] for r in range(r_max + 2)]
+
+
+@pytest.mark.parametrize("factors, semantics", SEAM_CASES,
+                         ids=[f"{'x'.join(f'C{d}' for d in f)}-{s[:3]}" for f, s in SEAM_CASES])
+def test_counts_at_the_cube_root_seam(factors, semantics):
+    group = AbelianGroupSpec(factors)
+    for q in prime_factors(group.order):
+        omega = group.omega_subset(q, math.inf)
+        recs = enumerate_records(group, omega, SEAM_CHECKPOINTS[-1], semantics=semantics)
+        got = count_stratified(group, omega, SEAM_CHECKPOINTS, 2, semantics=semantics)
+        assert got == _rows_from_records(recs, SEAM_CHECKPOINTS, 2), q
+
+
+@pytest.mark.parametrize("block", [7, 97])
+def test_recursions_equal_at_every_block_size(monkeypatch, block):
+    # small blocks and chunks of one or a few pairs: every chunk seam falls inside a floor index
+    cases = [(C3, C3.omega_subset(3, math.inf), 2), (V4, V4.omega_subset(2, 1), 1),
+             (AbelianGroupSpec([12]), AbelianGroupSpec([12]).omega_subset(2, math.inf), 3)]
+    xs = [2, 9, 28, 1332, 12345, 10 ** 5]
+    want = [count_stratified(group, omega, xs, r_max) for group, omega, r_max in cases]
+    tables = [prime_counts_mod(n, e) for n, e in ((10 ** 6 - 1, 12), (10 ** 7, 2))]
+    monkeypatch.setattr(arith, "BLOCK", block)
+    monkeypatch.setattr(abelian_fields, "BLOCK", block)
+    assert [count_stratified(group, omega, xs, r_max) for group, omega, r_max in cases] == want
+    for (n, e), table in zip(((10 ** 6 - 1, 12), (10 ** 7, 2)), tables):
+        got = prime_counts_mod(n, e)
+        assert all(got[c].tolist() == table[c].tolist() for c in table), (n, e)
+
+
+def test_more_rows_than_a_block_holds():
+    # rows > BLOCK: a bulk chunk still takes one pair; the rows past r = 3 sum to its spill row
+    omega = C3.omega_subset(3, math.inf)
+    want = count_stratified(C3, omega, [10 ** 4, 10 ** 5], 3)
+    got = count_stratified(C3, omega, [10 ** 4, 10 ** 5], abelian_fields.BLOCK + 3)
+    assert got[:4] == want[:4] and [sum(column) for column in zip(*got[4:])] == want[4]
+
+
+def test_bench_size_c3_memory(traced_peak):
+    # the abelian-primes C3 count at 1e8: 1.44 MiB traced with every prime walked one by one,
+    # 1.40 MiB in chunks of BLOCK // rows pairs, 2.87 MiB with the bulk pass in one chunk
+    omega = C3.omega_subset(3, math.inf)
+    assert traced_peak(count_stratified, C3, omega, [10 ** 8], 2) <= 1.5 * 2 ** 20
+
+
 def test_one_sieve_and_one_walk_per_count(monkeypatch):
     calls = {"sieve_primes": 0, "_checkpoint_counts": 0}
     for name in calls:
@@ -446,7 +499,7 @@ def test_memory_guard_before_the_sieve(monkeypatch):
     with pytest.raises(CapExceeded, match="physical memory"):
         count_stratified(C2, frozenset(), [10 ** 4], 0)
     assert sieved == []
-    # the estimate, about 47 kB for the sieve, tables and recursion, fits in 100 kB
+    # the estimate, about 84 kB for the sieve, tables, recursion and one bulk chunk, fits in 100 kB
     monkeypatch.setattr(abelian_fields, "_physical_memory", lambda: 10 ** 5)
     assert count_stratified(C2, frozenset(), [10 ** 4], 0)[0] == [want]
     assert sieved == [math.isqrt(10 ** 4 - 1) + 1]
@@ -527,6 +580,20 @@ def test_c2_total_equals_the_closed_form():
     assert count_stratified(C2, frozenset(), xs, 0)[0] == [closed(x) for x in xs]
     got = count_stratified(C2, frozenset(), [10 ** 10], 0, cap=10 ** 10)[0]
     assert got == [closed(10 ** 10)] == [10_132_118_361]
+
+
+@pytest.mark.slow
+def test_c2_total_at_1e12_equals_the_closed_form():
+    x = 10 ** 12
+    mu = _moebius(10 ** 6 + 1)
+    closed = _odd_squarefree_up_to(x - 1, mu) + 3 * _odd_squarefree_up_to((x - 1) // 2, mu) - 1
+    assert count_stratified(C2, frozenset(), [x], 0, cap=x)[0] == [closed] == [1_013_211_837_457]
+
+
+@pytest.mark.slow
+def test_c3_rows_at_1e11():
+    got = count_stratified(C3, C3.omega_subset(3, math.inf), [10 ** 11], 2, cap=10 ** 11)
+    assert got[2][0] == 16_410_533_560 and sum(row[0] for row in got) == 43_234_982_466
 
 
 C2_6 = AbelianGroupSpec([2] * 6)

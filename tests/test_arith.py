@@ -9,7 +9,9 @@ from hypothesis import given, settings, strategies as st
 
 from ramclass import arith
 from ramclass.arith import (
+    bulk_pairs,
     class_progressions,
+    cube_root,
     floor_index,
     floor_values,
     invariant_factors,
@@ -81,6 +83,46 @@ def test_prime_counts_mod_at_every_small_n():
     for n in range(0, 300):
         for e in (1, 2, 3, 4, 5, 7, 12, 30):
             _check_prime_counts(n, e)
+
+
+@pytest.mark.parametrize("e", [1, 2, 3, 4, 5, 7, 12, 30])
+def test_prime_counts_mod_at_the_cube_root_seam(e):
+    # at n = p^3 + {-1, 0, 1} the prime p moves between the one-by-one primes and bulk_pairs
+    for p in sieve_primes(62).tolist():
+        for n in (p ** 3 - 1, p ** 3, p ** 3 + 1):
+            _check_prime_counts(n, e)
+
+
+def test_cube_root_is_exact():
+    rng = random.Random(29)
+    for m in list(range(2000)) + [rng.randrange(2 ** 21) for _ in range(500)] + [2 ** 21 - 1]:
+        for n in (m ** 3 - 1, m ** 3, m ** 3 + 1):
+            if n >= 0:
+                k = cube_root(n)
+                assert k ** 3 <= n < (k + 1) ** 3, n
+    assert cube_root(2 ** 63 - 1) == 2 ** 21 - 1 and cube_root(2 ** 63) == 2 ** 21
+
+
+def _pairs_by_definition(n, primes):
+    """(j, p) for every floor index j of n and p in primes with p^3 > n and p * p <= v_j."""
+    return [(j, p) for j, v in enumerate(floor_values(n).tolist())
+            for p in primes.tolist() if p ** 3 > n and p * p <= v]
+
+
+@pytest.mark.parametrize("size", [0, 1, 2, 7, 4096])
+def test_bulk_pairs_lists_every_pair_once_in_chunks(size):
+    rng = random.Random(size)
+    ns = list(range(1, 200)) + [p ** 3 + d for p in (11, 13, 29) for d in (-1, 0, 1)]
+    for n in ns + [rng.randrange(200, 3 * 10 ** 5) for _ in range(20)]:
+        primes = sieve_primes(math.isqrt(n) + 1)
+        # every prime, and a subset as a caller that drops classes passes it
+        for chosen in (primes, primes[primes % 3 != 1]):
+            got = []
+            for j, p, starts in bulk_pairs(n, chosen, size):
+                assert 0 < len(j) <= max(size, 1) and j.dtype == p.dtype == np.int64
+                assert starts.tolist() == [i for i in range(len(j)) if i == 0 or j[i] != j[i - 1]]
+                got += zip(j.tolist(), p.tolist())
+            assert got == _pairs_by_definition(n, chosen), (n, size)
 
 
 def test_prime_counts_mod_exact_values():
