@@ -3,8 +3,9 @@
 This module holds the one implementation of each sieve and factoriser in the
 package: the prime sieve, the prime counts per residue class at the floor
 values of n, the one strided-count loop behind the squarefree, omega and
-ambiguous-form sieves (and the map that cuts its progressions to one residue
-class), trial division, Miller-Rabin and invariant factors.
+ambiguous-form sieves (with the map that cuts its progressions to one residue
+class; both take the progressions (start, step) as one (k, 2) int64 array, as
+``square_progressions`` keeps them), trial division, Miller-Rabin and invariant factors.
 The prime sieve yields its primes window by window (``prime_windows``) and
 holds one window of SIEVE_WINDOW flags, one per odd n, and the primes up to
 sqrt(x); ``sieve_primes`` gathers the windows into one int64 array, and
@@ -204,22 +205,26 @@ def prime_counts_mod(n: int, e: int) -> dict[int, np.ndarray]:
 def progression_counts(lo: int, hi: int, progressions, dtype=np.int8) -> np.ndarray:
     """For every n in [lo, hi), how many progressions start, start + step, ... hit n.
 
-    The package's one strided-add loop.  A start below lo moves up into the
-    window; dtype must hold the largest count.
+    The package's one strided-add loop, over a (k, 2) int64 array or a list of pairs.  Every
+    start moves up into the window at once, those at or past hi drop out, and dtype must
+    hold the largest count.
     """
     counts = np.zeros(max(hi - lo, 0), dtype=dtype)
-    for start, step in progressions:
-        if start < lo:
-            start += step * -((start - lo) // step)
-        counts[start - lo::step] += 1
+    start, step = np.asarray(progressions, dtype=np.int64).reshape(-1, 2).T
+    offset = start - lo
+    np.remainder(offset, step, out=offset, where=offset < 0)
+    inside = offset < len(counts)
+    for first, stride in zip(offset[inside].tolist(), step[inside].tolist()):
+        counts[first::stride] += 1
     return counts
 
 
-def class_progressions(progressions, r: int, m: int) -> list[tuple[int, int]]:
+def cut_to_class(progressions, r: int, m: int) -> np.ndarray:
     """The progressions (start, step) of n cut to the class n = r mod m, in i = (n - r) / m.
 
     Terms repeat mod m after m steps, so a progression that meets the class has its first
     hit among its first m terms (m is small) and then hits every (m / gcd(step, m))-th term.
+    Returns a (k, 2) int64 array of (start, step) in i.
     """
     start, step = np.asarray(progressions, dtype=np.int64).reshape(-1, 2).T
     small = np.min_scalar_type(2 * m)  # holds a residue plus a step, and the hit index k < m
@@ -232,29 +237,35 @@ def class_progressions(progressions, r: int, m: int) -> list[tuple[int, int]]:
         residue %= m
         found |= residue == 0
     start, step = start[found], step[found]
-    return list(zip(((start + k[found] * step - r) // m).tolist(),
-                    (step // np.gcd(step, m)).tolist()))
+    return np.stack([(start + k[found] * step - r) // m, step // np.gcd(step, m)], 1)
+
+
+def class_progressions(progressions, r: int, m: int) -> list[tuple[int, int]]:
+    """cut_to_class as a list of (start, step) pairs."""
+    return list(map(tuple, cut_to_class(progressions, r, m).tolist()))
 
 
 @functools.lru_cache(maxsize=1)  # a scan asks for the same top window after window
-def square_progressions(top: int, r: int = 0, m: int = 1) -> tuple[tuple[int, int], ...]:
+def square_progressions(top: int, r: int = 0, m: int = 1) -> np.ndarray:
     """The multiples of the odd prime squares p^2 <= top as progressions of i, n = r + m * i.
 
-    The progressions (start, step) come ascending by start.
+    A read-only (k, 2) int64 array of (start, step), ascending by start.
     """
     squares = sieve_primes(math.isqrt(max(top, 0)) + 1)[1:] ** 2
-    return tuple(sorted(class_progressions(np.stack([squares] * 2, 1), r, m)))
+    cut = cut_to_class(np.stack([squares] * 2, 1), r, m)
+    cut = cut[np.lexsort(cut.T[::-1])]
+    cut.flags.writeable = False  # shared by every caller through the cache
+    return cut
 
 
 def odd_squarefree(lo: int, hi: int, r: int = 0, m: int = 1) -> np.ndarray:
     """Flags for n = r + m * i, i in [lo, hi), that no odd prime square divides; 0 is excluded.
 
     The squares are square_progressions' for the least power of two >= the last n, one
-    list for a scan's windows up to it; only those that start below hi are walked.
+    array for a scan's windows up to it; only those that start below hi are walked.
     """
     squares = square_progressions(1 << max(r + m * (hi - 1) - 1, 0).bit_length(), r, m)
-    # (hi,) sorts before every progression (hi, step)
-    flags = progression_counts(lo, hi, squares[:bisect.bisect_left(squares, (hi,))])
+    flags = progression_counts(lo, hi, squares[:np.searchsorted(squares[:, 0], hi)])
     flags = np.logical_not(flags, out=flags.view(bool))  # in place: one byte per n
     if r == lo == 0 < hi:
         flags[0] = False
@@ -281,7 +292,7 @@ def omega_sieve(limit: int) -> np.ndarray:
     omega(0) reads 0.
     """
     root = math.isqrt(max(limit - 1, 0))
-    omega = progression_counts(0, limit, [(p, p) for p in sieve_primes(root + 1).tolist()])
+    omega = progression_counts(0, limit, np.stack([sieve_primes(root + 1)] * 2, 1))
     chunk = SIEVE_WINDOW // 2
     for primes in prime_windows(limit):
         large = primes[bisect.bisect_right(primes, root):]

@@ -13,7 +13,7 @@ scans all walk them, and each class stops where its key reaches x.  A scan
 window holds a flag byte and an int16 ambiguous count per index and no
 per-field array: each checkpoint is an index bound, and the run between two
 bounds is tallied by rk2.  So a scan's memory is bounded by the window size,
-not by x (44 MB peak RSS at x = 1e9); its time is not, so scans stop at
+not by x (40 MB peak RSS at x = 1e9); its time is not, so scans stop at
 SCAN_CAP.  --jobs only spreads the windows over worker processes, and the
 grids are exact integer sums, so the output is the same for every --jobs.
 """
@@ -26,8 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import (class_progressions, is_squarefree, odd_squarefree, omega, omega_sieve,
-                    progression_counts, radical, segmented_squarefree)
+from .arith import (SIEVE_WINDOW, cut_to_class, is_squarefree, odd_squarefree, omega,
+                    omega_sieve, progression_counts, radical, segmented_squarefree)
 from .errors import CapExceeded, EmptyRange, NotFundamental
 
 SCAN_ORDERS = ("radical", "absdisc")
@@ -210,12 +210,12 @@ def radical_counts_both_signs(x: int) -> np.ndarray:
 
 # -- segmented batch machinery ---------------------------------------------------
 
-# indices i per window of a class |D| = r + m * i, at about 5 bytes each in a scan (a flag
-# byte, an int16 ambiguous count, a comparison mask): 2.5 MB, and 35 MB peak RSS to 1e8.
+# indices i per window of a class |D| = r + m * i, at 3 bytes each in a scan (a flag byte and
+# an int16 ambiguous count, tallied SIEVE_WINDOW at a time): 1.5 MB, and 34 MB peak RSS to 1e8.
 # Each window repeats the O(sqrt(|D|)) strides of segmented_ambiguous, so smaller is slower.
 SEGMENT = 1 << 19
 # the largest checkpoint a moment or probability scan takes: time grows a little
-# faster than x, about 2.1 s at 1e8 and 34 s at 1e9 on one core (17 s with --jobs 2)
+# faster than x, about 1.7 s at 1e8 and 34 s at 1e9 on one core (21 s with --jobs 2)
 SCAN_CAP = 10 ** 9
 
 
@@ -230,7 +230,7 @@ def segmented_ambiguous(lo: int, hi: int, r: int = 0, m: int = 1) -> np.ndarray:
     top = max(r + m * (hi - 1), 0)
     a, u = (np.arange(1, math.isqrt(k) + 1, dtype=np.int64) for k in (top // 4, top))
     strides = [np.stack([4 * a * a, 4 * a], 1), np.stack([u * (u + 4 - 2 * (u % 2)), 4 * u], 1)]
-    return progression_counts(lo, hi, class_progressions(np.concatenate(strides), r, m), np.int16)
+    return progression_counts(lo, hi, cut_to_class(np.concatenate(strides), r, m), np.int16)
 
 
 _POWERS_OF_TWO = 1 << np.arange(16, dtype=np.int64)
@@ -239,11 +239,14 @@ _POWERS_OF_TWO = 1 << np.arange(16, dtype=np.int64)
 def _rank2_histogram(amb: np.ndarray, fields: int) -> np.ndarray:
     """hist[v] = entries of amb equal to 2^v, v < 16; amb is 0 off its `fields` fields.
 
-    Asserts that every field's count is a power of two: 0 or 3 matches no 2^v.
+    Asserts that every field's count is a power of two: 0 or 3 matches no 2^v.  amb is
+    compared SIEVE_WINDOW entries at a time, so no temporary is as long as amb.
     """
     hist = np.zeros(16, dtype=np.int64)
-    for v in range(int(amb.max(initial=0)).bit_length()):
-        hist[v] = np.count_nonzero(amb == 1 << v)
+    for lo in range(0, len(amb), SIEVE_WINDOW):
+        part = amb[lo:lo + SIEVE_WINDOW]
+        for v in range(int(part.max(initial=0)).bit_length()):
+            hist[v] += np.count_nonzero(part == 1 << v)
     assert hist.sum() == fields, "ambiguous count must be a power of two"
     return hist
 

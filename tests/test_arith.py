@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ramclass import arith
 from ramclass.arith import (
@@ -23,6 +23,7 @@ from ramclass.arith import (
     prime_windows,
     progression_counts,
     segmented_squarefree,
+    square_progressions,
     primitive_root,
     sieve_primes,
     unit_generators,
@@ -291,6 +292,32 @@ def test_progression_counts_matches_python_count(lo, width, progressions):
     assert counts.tolist() == [sum(1 for start, step in progressions
                                    if n >= start and (n - start) % step == 0)
                                for n in range(lo, hi)]
+
+
+@given(st.integers(-100, 3000), st.integers(0, 300),
+       st.lists(st.tuples(st.integers(-4000, 3500), st.integers(1, 80)), max_size=12),
+       st.sampled_from([np.int8, np.int16]))
+@example(0, 10, [], np.int8).via("the empty input")
+@example(-7, 5, [(-20, 3), (-9, 4), (0, 1), (9, 2)], np.int16).via("starts below and past")
+def test_progression_counts_takes_an_array(lo, width, progressions, dtype):
+    # negative starts, and starts below, inside and past the window
+    hi = lo + width
+    got = progression_counts(lo, hi, np.array(progressions, dtype=np.int64).reshape(-1, 2), dtype)
+    assert got.shape == (width,) and got.dtype == dtype
+    assert np.array_equal(got, progression_counts(lo, hi, progressions, dtype))
+    assert got.tolist() == [sum(1 for start, step in progressions
+                                if n >= start and (n - start) % step == 0)
+                            for n in range(lo, hi)]
+
+
+# in the classes of the quadratic engine the cut comes out sorted; mod 5 it does not
+@pytest.mark.parametrize("top, r, m", [(0, 0, 1), (10 ** 4, 0, 1), (2 ** 16, 3, 4), (2 ** 20, 8, 16),
+                                       (10 ** 4, 2, 5)])
+def test_square_progressions_are_a_start_sorted_array(top, r, m):
+    squares = [p * p for p in segmented_primes(3, math.isqrt(top) + 1)]
+    got = square_progressions(top, r, m)
+    assert got.dtype == np.int64 and got.shape == (len(got), 2) and not got.flags.writeable
+    assert got.tolist() == sorted(map(list, class_progressions([(s, s) for s in squares], r, m)))
 
 
 @settings(deadline=None)

@@ -355,9 +355,10 @@ def _two_omega_terms(top):
 
 
 def test_summatory_2_omega_across_window_seams():
-    # every x <= 2000, so every step of some quotient (x - 1) // m is crossed
-    prefix = np.cumsum([0] + _two_omega_terms(2000))
-    for x in range(2001):
+    # every x in (2000, 6000], past test_summatory_2_omega_exact's loop, so the steps of the
+    # quotients (x - 1) // m and y // i up there are crossed too
+    prefix = np.cumsum([0] + _two_omega_terms(6000))
+    for x in range(2001, 6001):
         assert summatory_oracle("squarefree_2_omega", x) == prefix[x], x
 
 

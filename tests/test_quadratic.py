@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ramclass import quadratic
-from ramclass.arith import odd_squarefree, prime_factors
+from ramclass import arith, quadratic
+from ramclass.arith import SIEVE_WINDOW, odd_squarefree, prime_factors
 from ramclass.errors import CapExceeded, EmptyRange, NotFundamental
 from ramclass.quadratic import (
     ENUMERATION_CAP,
@@ -442,6 +442,39 @@ def test_scan_matches_per_field_records():
     recs = [class_group_data(D) for D in enumerate_discriminants("radical", 400)]
     assert rows[0][1] == len(recs)
     assert rows[0][2] == pytest.approx(sum(2 ** r.rk2 for r in recs) / len(recs))
+
+
+# (N, the sum of 2^rk2, the fields with rk2 <= 1) at 1e3, 12345 and 1e5, by order
+SCAN_SUMS_TO_1E5 = {"radical": ([509, 6256, 50666], [1399, 21618, 204968], [324, 3133, 21587]),
+                    "absdisc": ([305, 3756, 30392], [665, 10514, 99932], [239, 2397, 16769])}
+
+
+def test_scans_build_no_list_of_progressions(monkeypatch):
+    def refused(*args):
+        raise AssertionError("a scan asked for a list of progressions")
+
+    monkeypatch.setattr(arith, "class_progressions", refused)
+    monkeypatch.setattr(quadratic, "class_progressions", refused, raising=False)
+    xs = [10 ** 3, 12345, 10 ** 5]
+    for order, (counts, moments, low) in SCAN_SUMS_TO_1E5.items():
+        assert moment_scan(xs, order) == [(x, n, s / n) for x, n, s in zip(xs, counts, moments)]
+        assert rank_probability_scan(xs, 1, order) == [
+            (x, n, c / n) for x, n, c in zip(xs, counts, low)]
+    assert genus_sweep(10 ** 5) == (30392, [])
+
+
+def test_rank2_tally_holds_no_window_sized_temporary(traced_peak):
+    # a SEGMENT-long int16 window is 1 MiB; its comparisons with each 2^v go in chunks
+    fields, amb = quadratic._class_ambiguous(0, quadratic.SEGMENT, quadratic.IMAGINARY_CLASSES[0])
+    assert len(amb) == quadratic.SEGMENT and amb.dtype == np.int16
+    assert traced_peak(quadratic._rank2_histogram, amb, np.count_nonzero(fields)) \
+        <= 2 * SIEVE_WINDOW
+
+
+@pytest.mark.slow
+def test_moment_scan_at_the_scan_cap():
+    [(x, n, e_hat)] = moment_scan([quadratic.SCAN_CAP])
+    assert (x, n, f"{e_hat:.12g}") == (10 ** 9, 506_605_934, "6.65138414664")
 
 
 # -- genus sweep ----------------------------------------------------------------------
