@@ -29,12 +29,13 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count as _icount, product as _iproduct
+from itertools import product as _iproduct
 
 import numpy as np
 
+from . import arith
 from .arith import (BLOCK, SIEVE_WINDOW, bulk_pairs, cube_root, euler_phi, floor_index,
-                    floor_values, invariant_factors, is_prime, prime_counts_mod, prime_factors,
+                    floor_values, invariant_factors, prime_counts_mod, prime_factors,
                     sieve_primes, valuation)
 from .arith import physical_memory as _physical_memory  # a module name tests can replace
 from .errors import CapExceeded, EmptyRange, NotClosed, TamePrime, WildPrime
@@ -355,7 +356,9 @@ def _cell_bound(setups, exponent, xmax) -> int:
     A cell sums fewer than xmax supports, each weighted by the product of its
     primes' local map counts: at most 1 + w_p at a wild prime p with w_p
     nontrivial maps, and at most h, the largest count at a tame prime, at each
-    of at most k tame primes, k the most primes whose product is below xmax.
+    of at most k tame primes, k the most primes whose product is below xmax, counted
+    over the primes below 64 (their product, 1.2e23, passes every x <= 2^63), taken
+    from arith and not through this module's sieve_primes, the sieve below sqrt(xmax).
     """
     wild = {p % exponent for p in prime_factors(exponent)}
     weights = [(c, a + b) for _, class_ab in setups for c, (a, b) in class_ab.items()]
@@ -363,20 +366,21 @@ def _cell_bound(setups, exponent, xmax) -> int:
     for c in wild:
         bound *= 1 + max((w for d, w in weights if d == c), default=0)
     h = max((w for c, w in weights if c not in wild), default=1)
-    k, prod, p = 0, 2, 2
-    while prod < xmax:
-        k, p = k + 1, next(q for q in _icount(p + 1) if is_prime(q))
+    k, prod = 0, 1
+    for p in arith.sieve_primes(64).tolist():
         prod *= p
+        k += prod < xmax
     return bound * h ** k
 
 
 def _memory_needed(checkpoints, exponent, rows, cell) -> int:
     """Bytes that count_stratified allocates at its peak, an upper bound.
 
-    The sieve below s = sqrt(xmax): one window of at most SIEVE_WINDOW flags,
-    each with an int64 index and two int64 temporaries, and an int64 and two
-    list entries per prime, as pi(s) < 1.26 s / log s (Rosser and Schoenfeld);
-    then, for the largest checkpoint x, at most 2 sqrt(x) + 1 floor values:
+    The sieve below s = sqrt(xmax): its int64 output, as pi(s) < 1.26 s / log s
+    (Rosser and Schoenfeld), one window of at most SIEVE_WINDOW flags, each with
+    an int64 index, and 128 bytes per base prime up to sqrt(s), in five int64 and
+    two bool arrays and two lists of Python ints (their own sieve ends before the
+    windows start); then, for the largest checkpoint x, at most 2 sqrt(x) + 1 floor values:
     the phi(e) int64 table of pi(v; e, c), with 2 phi(e) + 6 such rows of
     temporaries while it is built, the floor values and the prime sums that
     start S; S itself, rows by floor values of ``cell`` bytes (8 in int64,
@@ -388,13 +392,13 @@ def _memory_needed(checkpoints, exponent, rows, cell) -> int:
     with x is counted; the subgroup lattice stays a few MB below order 64.
     """
     s = math.isqrt(checkpoints[-1] - 1) + 1
-    primes = int(1.26 * s / math.log(max(s, 3))) + 1
+    primes, base = (int(1.26 * v / math.log(max(v, 3))) + 1 for v in (s, math.isqrt(s)))
     size = 2 * math.isqrt(checkpoints[-1]) + 1
     block = min(size, BLOCK)
     phi, n = euler_phi(exponent), checkpoints[-1] - 1
     a = cube_root(n) + 1
     pairs = min(BLOCK // min(rows, phi), n // a ** 2 + n // (2 * a) + 1)
-    return (25 * min(s // 2, SIEVE_WINDOW) + 72 * primes + 8 * (3 * phi + 9) * size
+    return (9 * min(s // 2, SIEVE_WINDOW) + 8 * primes + 128 * base + 8 * (3 * phi + 9) * size
             + cell * rows * (size + 4 * block) + 48 * block
             + 4 * cell * min(max(BLOCK, rows), max(rows, phi) * pairs) + 80 * pairs)
 

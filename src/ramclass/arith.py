@@ -6,13 +6,15 @@ values of n, the one strided-count loop behind the squarefree, omega and
 ambiguous-form sieves (with the map that cuts its progressions to one residue
 class; both take the progressions (start, step) as one (k, 2) int64 array, as
 ``square_progressions`` keeps them), trial division, Miller-Rabin and invariant factors.
-The prime sieve yields its primes window by window (``prime_windows``) and
-holds one window of SIEVE_WINDOW flags, one per odd n, and the primes up to
-sqrt(x); ``sieve_primes`` gathers the windows into one int64 array, and
-``dirichlet.PrimeSieve`` into one int32 array below 2^31.  The omega sieve over
-[0, x) keeps its int8 counts, one byte per n, and no list of the primes: it
-counts the one prime above sqrt(x) by its cofactor, window by window, in
-chunks of at most half a window.
+Each sieve walks its range once.  The prime sieve sieves its base primes, those
+up to sqrt(x), first, then yields its primes window by window (``prime_windows``),
+holding one window of SIEVE_WINDOW flags, one per odd n, and a few int64 arrays
+over the base primes; ``sieve_primes`` gathers the windows into one int64 array,
+and ``dirichlet.PrimeSieve`` into one int32 array below 2^31.  The omega sieve
+over [0, x) keeps its int8 counts, one byte per n, and no list of the primes:
+after counting the primes up to sqrt(x), it reads the primes above sqrt(x) from
+its own counts, as the zeros there, window by window, and counts each by its
+cofactors.
 The prime counts per class take the primes above n^(1/3) in one vectorised
 pass over ``bulk_pairs``, which the abelian counter's second phase shares.
 The engines import them from here.  The independent oracles that test them
@@ -22,7 +24,6 @@ their engines on purpose.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 import os
@@ -45,39 +46,32 @@ def prime_windows(limit: int):
     """The primes below ``limit``, ascending, one int64 array per window of SIEVE_WINDOW odd n.
 
     A segmented sieve of Eratosthenes on odd n (Bays and Hudson, 1977): flag i
-    stands for 2i + 1.  Each window is sieved first by the base primes, the odd
-    primes up to isqrt(limit - 1) that earlier windows found, each from its first
-    odd multiple in the window, then by the primes of the window whose squares fall
-    in it, from p * p (only the first window has any).  Flag 0, for n = 1, is left
-    set and becomes the prime 2.  Besides the window it yields, the generator holds
-    one window of flags and the base primes, a list of about 2 sqrt(limit) / log limit
-    ints.
+    stands for 2i + 1.  The base primes, the odd primes up to isqrt(limit - 1), are
+    sieved first, below their own root.  Each window then moves every base prime's
+    next odd multiple, p * p or later, into the window in one vectorised step, as
+    progression_counts does, and clears the flags from there, p apart.  Flag 0, for
+    n = 1, is left set and becomes the prime 2.  Besides the window it yields, the
+    generator holds one window of flags and a few int64 arrays over the base primes,
+    about 2 sqrt(limit) / log limit of them.
     """
     if limit <= 2:
         return
-    root = math.isqrt(limit - 1)
-    base = []  # the primes <= root found so far, ascending
+    base = _gather_primes(math.isqrt(limit - 1) + 1, np.int64)[1:]
+    square = base * base // 2  # p's odd multiples are the flags p // 2 + j p, from p * p on
     for lo in range(0, limit // 2, SIEVE_WINDOW):
         hi = min(lo + SIEVE_WINDOW, limit // 2)
         flags = np.ones(hi - lo, dtype=bool)
-        # the base primes whose squares fall below the window's last n, 2 hi - 1; p's
-        # odd multiples are the flags p // 2 + j p, and p lies in an earlier window, so
-        # every one from the window's start on is composite
-        for p in base[1:bisect.bisect_right(base, math.isqrt(2 * hi - 1))]:
-            flags[(p // 2 - lo) % p::p] = False
-        for i in range(max(lo, 1), hi):
-            p = 2 * i + 1
-            if p * p // 2 >= hi:
-                break
-            if flags[i - lo]:
-                flags[p * p // 2 - lo::p] = False
+        offset = square - lo
+        np.remainder(offset, base, out=offset, where=offset < 0)
+        inside = offset < len(flags)
+        for start, p in zip(offset[inside].tolist(), base[inside].tolist()):
+            flags[start::p] = False
         primes = np.flatnonzero(flags)
         primes += lo
         primes *= 2
         primes += 1
         if lo == 0:
             primes[0] = 2
-        base += primes[:bisect.bisect_right(primes, root)].tolist()
         yield primes
 
 
@@ -240,11 +234,6 @@ def cut_to_class(progressions, r: int, m: int) -> np.ndarray:
     return np.stack([(start + k[found] * step - r) // m, step // np.gcd(step, m)], 1)
 
 
-def class_progressions(progressions, r: int, m: int) -> list[tuple[int, int]]:
-    """cut_to_class as a list of (start, step) pairs."""
-    return list(map(tuple, cut_to_class(progressions, r, m).tolist()))
-
-
 @functools.lru_cache(maxsize=1)  # a scan asks for the same top window after window
 def square_progressions(top: int, r: int = 0, m: int = 1) -> np.ndarray:
     """The multiples of the odd prime squares p^2 <= top as progressions of i, n = r + m * i.
@@ -284,25 +273,25 @@ def omega_sieve(limit: int) -> np.ndarray:
 
     Primes p up to isqrt(limit - 1) are counted as progressions p, 2p, ....
     Any other prime q dividing n < limit has q * q >= limit, so it is the only
-    one, and n = q * m with m < q.  Those q come window by window from
-    prime_windows; for each cofactor m, one vectorised step per half window of
-    them counts every q with q * m < limit.  No list of the primes and no
-    cofactor array is kept, and the products go to one buffer of at most half a
-    window of int64, so the sieve holds one byte per n besides one window.
-    omega(0) reads 0.
+    one, and n = q * m with m < q, so every prime factor of m is at most the root.
+    The q are thus the n above the root whose count is still 0 once the small
+    primes are counted, and only q itself (m = 1) is written to later.  The n
+    above the root go by in windows of SIEVE_WINDOW: each window's zeros are read
+    first, and then, for each cofactor m, one vectorised step counts every q of
+    them with q * m < limit.  No list of the primes is kept, and the products go
+    to one buffer of at most half a window of int64, so the sieve holds one byte
+    per n besides one window.  omega(0) reads 0.
     """
     root = math.isqrt(max(limit - 1, 0))
     omega = progression_counts(0, limit, np.stack([sieve_primes(root + 1)] * 2, 1))
-    chunk = SIEVE_WINDOW // 2
-    for primes in prime_windows(limit):
-        large = primes[bisect.bisect_right(primes, root):]
-        multiples = np.empty(min(len(large), chunk), dtype=np.int64)  # reused by every step
+    for lo in range(root + 1, limit, SIEVE_WINDOW):
+        large = np.flatnonzero(np.logical_not(omega[lo:lo + SIEVE_WINDOW].view(bool)))
+        large += lo
+        multiples = np.empty_like(large)  # reused by every step
         m = 1
         while len(large) and m * int(large[0]) < limit:
             k = int(np.searchsorted(large, (limit - 1) // m, side="right"))
-            for lo in range(0, k, chunk):
-                part = large[lo:min(lo + chunk, k)]
-                omega[np.multiply(part, m, out=multiples[:len(part)])] += 1
+            omega[np.multiply(large[:k], m, out=multiples[:k])] += 1
             m += 1
     return omega
 

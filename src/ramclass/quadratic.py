@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import (SIEVE_WINDOW, cut_to_class, is_squarefree, odd_squarefree, omega,
-                    omega_sieve, progression_counts, radical, segmented_squarefree)
+                    omega_sieve, progression_counts, radical)
 from .errors import CapExceeded, EmptyRange, NotFundamental
 
 SCAN_ORDERS = ("radical", "absdisc")

@@ -23,6 +23,7 @@ from ramclass.abelian_fields import (
     wild_local_budget,
 )
 from ramclass.arith import prime_counts_mod, prime_factors, valuation
+from ramclass.dirichlet import segmented_primes
 from ramclass.errors import CapExceeded, EmptyRange, NotClosed, TamePrime, WildPrime
 from ramclass.permgroup import omega_set, parse_group_spec
 
@@ -499,7 +500,7 @@ def test_memory_guard_before_the_sieve(monkeypatch):
     with pytest.raises(CapExceeded, match="physical memory"):
         count_stratified(C2, frozenset(), [10 ** 4], 0)
     assert sieved == []
-    # the estimate, about 84 kB for the sieve, tables, recursion and one bulk chunk, fits in 100 kB
+    # the estimate, about 82 kB for the sieve, tables, recursion and one bulk chunk, fits in 100 kB
     monkeypatch.setattr(abelian_fields, "_physical_memory", lambda: 10 ** 5)
     assert count_stratified(C2, frozenset(), [10 ** 4], 0)[0] == [want]
     assert sieved == [math.isqrt(10 ** 4 - 1) + 1]
@@ -605,6 +606,19 @@ def test_counts_past_int64_are_exact():
     got = count_stratified(C2_6, C2_6.omega_subset(2, math.inf), [10 ** 8], 5, cap=10 ** 8)
     assert [row[0] for row in got] == [0, 0, 0, 0, 54865657973145600, 1255730863920906240,
                                        14789452373186641920]
+
+
+def test_cell_bound_at_the_primorials():
+    # x (1 + 2) for the wild class 0 mod 3, times h = 2 at each of k tame primes, k the most
+    # primes whose product is below x: at each primorial p# <= 2^63, p# - 1, p# + 1 and 2^63
+    setups = [(1, {0: (1, 1), 1: (2, 0)})]
+    primes = segmented_primes(0, 100)
+    primorials = [math.prod(primes[:j]) for j in range(1, len(primes) + 1)]
+    xs = [q + d for q in primorials if q <= 2 ** 63 for d in (-1, 0, 1)] + [2 ** 63]
+    assert len(xs) == 46
+    for x in xs:
+        k = sum(1 for q in primorials if q < x)
+        assert abelian_fields._cell_bound(setups, 3, x) == x * 3 * 2 ** k, x
 
 
 @pytest.mark.parametrize("group, x, r_max", [(C3, 10 ** 8, 2), (C2, 10 ** 9, 1),

@@ -10,8 +10,8 @@ from hypothesis import example, given, settings, strategies as st
 from ramclass import arith
 from ramclass.arith import (
     bulk_pairs,
-    class_progressions,
     cube_root,
+    cut_to_class,
     floor_index,
     floor_values,
     invariant_factors,
@@ -187,12 +187,19 @@ def test_sieve_primes_across_window_seams():
         assert np.array_equal(got, want[:np.searchsorted(want, limit)]), limit
 
 
+# (flags a window, limits apart): 8 flags put the base primes up to 70 in five windows, and
+# every 7th limit meets each of the 16 offsets from a seam
+SMALL_WINDOWS = ((64, 1), (8, 7))
+
+
 def test_sieve_primes_in_small_windows(monkeypatch):
     # 64 flags a window: a seam every 128 n, and the base primes come from many windows
-    monkeypatch.setattr(arith, "SIEVE_WINDOW", 64)
     want = segmented_primes(0, 5001)
-    for limit in range(5001):
-        assert sieve_primes(limit).tolist() == want[:bisect.bisect_left(want, limit)], limit
+    for window, step in SMALL_WINDOWS:
+        monkeypatch.setattr(arith, "SIEVE_WINDOW", window)
+        for limit in range(0, 5001, step):
+            assert sieve_primes(limit).tolist() == want[:bisect.bisect_left(want, limit)], \
+                (window, limit)
 
 
 def _joined_windows(limit):
@@ -214,10 +221,27 @@ def test_prime_windows_join_across_seams():
 
 def test_prime_windows_in_small_windows(monkeypatch):
     # 64 flags a window: the base primes up to 70 come from two windows
-    monkeypatch.setattr(arith, "SIEVE_WINDOW", 64)
     want = segmented_primes(0, 5001)
-    for limit in range(5001):
-        assert _joined_windows(limit) == want[:bisect.bisect_left(want, limit)], limit
+    for window, step in SMALL_WINDOWS:
+        monkeypatch.setattr(arith, "SIEVE_WINDOW", window)
+        for limit in range(0, 5001, step):
+            assert _joined_windows(limit) == want[:bisect.bisect_left(want, limit)], (window, limit)
+
+
+def test_omega_sieve_sieves_no_primes_above_its_root(monkeypatch):
+    # the primes above sqrt(limit) are read from the counts, not sieved over [0, limit)
+    limits, windows = [], arith.prime_windows
+
+    def recorded(limit):
+        limits.append(limit)
+        return windows(limit)
+
+    monkeypatch.setattr(arith, "prime_windows", recorded)
+    limit = 10 ** 6
+    omega = omega_sieve(limit)
+    assert limits and max(limits) <= math.isqrt(limit - 1) + 1
+    assert omega[:1000].tolist() == _omega_slow(1000)
+    assert omega[-1000:].tolist() == [len(prime_factors(n)) for n in range(limit - 1000, limit)]
 
 
 def test_omega_sieve_in_small_chunks(monkeypatch):
@@ -317,7 +341,7 @@ def test_square_progressions_are_a_start_sorted_array(top, r, m):
     squares = [p * p for p in segmented_primes(3, math.isqrt(top) + 1)]
     got = square_progressions(top, r, m)
     assert got.dtype == np.int64 and got.shape == (len(got), 2) and not got.flags.writeable
-    assert got.tolist() == sorted(map(list, class_progressions([(s, s) for s in squares], r, m)))
+    assert got.tolist() == sorted(cut_to_class([(s, s) for s in squares], r, m).tolist())
 
 
 @settings(deadline=None)
@@ -330,16 +354,16 @@ def test_class_progressions_match_the_unrestricted_counts(m, data, lo, width, dr
     r = data.draw(st.integers(0, m - 1))
     progressions = [(start, (1, 2, 3, 4, 8, 16)[f - 1] * k) for start, f, k in drawn]
     hi = lo + width
-    got = progression_counts(lo, hi, class_progressions(progressions, r, m))
+    got = progression_counts(lo, hi, cut_to_class(progressions, r, m))
     full = progression_counts(r + m * lo, r + m * hi, progressions)
     assert got.tolist() == full[::m].tolist()
 
 
 def test_class_progressions_drop_empty_intersections():
     # n = 1 mod 4 and even n never meet 3 mod 4; odd n meets it every other term
-    assert class_progressions([(1, 4), (2, 6), (5, 8)], 3, 4) == []
-    assert class_progressions([(1, 2)], 3, 4) == [(0, 1)]
-    assert class_progressions([(7, 10), (-3, 12)], 0, 1) == [(7, 10), (-3, 12)]
+    assert cut_to_class([(1, 4), (2, 6), (5, 8)], 3, 4).tolist() == []
+    assert cut_to_class([(1, 2)], 3, 4).tolist() == [[0, 1]]
+    assert cut_to_class([(7, 10), (-3, 12)], 0, 1).tolist() == [[7, 10], [-3, 12]]
 
 
 def test_small_values():

@@ -1,5 +1,6 @@
 """Invariants that tie two modules together."""
 
+import ast
 import math
 from pathlib import Path
 
@@ -93,3 +94,19 @@ def test_source_lines_at_most_100_characters():
     long = [f"{path.name}:{k}" for path in sorted(Path(ramclass.__file__).parent.glob("*.py"))
             for k, line in enumerate(path.read_text().splitlines(), 1) if len(line) > 100]
     assert long == []
+
+
+def test_source_imports_are_all_used():
+    # every name a module imports is read in it; from __future__ import annotations aside
+    unused = []
+    for path in sorted(Path(ramclass.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        imported = {alias.asname or alias.name.split(".")[0]: node.lineno
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                   if name not in read]
+    assert unused == []
